@@ -11,10 +11,17 @@ through the MNM anyway, since requests do) and the addresses of blocks
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.addresses import block_address, is_power_of_two, log2_exact
+from repro.addresses import (
+    ADDRESS_SPACE,
+    block_address,
+    is_power_of_two,
+    log2_exact,
+    validate_address,
+)
 from repro.cache.replacement import ReplacementPolicy, make_policy
 
 
@@ -165,14 +172,6 @@ class CacheStats:
         self.dirty_evictions = 0
 
 
-@dataclass
-class _Line:
-    """One resident cache block."""
-
-    block_addr: int
-    dirty: bool = False
-
-
 PlaceListener = Callable[["Cache", int], None]
 ReplaceListener = Callable[["Cache", int], None]
 
@@ -185,18 +184,18 @@ class Cache:
     *this cache's* block addresses (at this cache's block granularity); the
     MNM re-maps them to its own granule via
     :class:`repro.addresses.BlockMapper`.
+
+    State is flat and per *slot* (``slot = set_index * associativity +
+    way``): one ``block -> way`` dict (ways are small cached ints, so it
+    holds no per-block int objects), a ``slot -> block`` array and a dirty
+    bytearray.  A set hands out its never-filled ways in ascending
+    order; ways freed by :meth:`invalidate_range` go on the set's free
+    list (built on first use) and are reused first, latest first.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        self._sets: List[Dict[int, _Line]] = [dict() for _ in range(config.num_sets)]
-        # way bookkeeping: per set, map block_addr -> way, plus free ways
-        self._ways: List[Dict[int, int]] = [dict() for _ in range(config.num_sets)]
-        self._free: List[List[int]] = [
-            list(range(config.associativity - 1, -1, -1))
-            for _ in range(config.num_sets)
-        ]
         self.policy: ReplacementPolicy = make_policy(
             config.replacement, config.num_sets, config.associativity
         )
@@ -205,6 +204,19 @@ class Cache:
         #: Dirty state of the most recent eviction returned by :meth:`fill`
         #: (the hierarchy reads this to drive writebacks).
         self.last_evicted_dirty: bool = False
+        self._offset_bits = config.offset_bits
+        self._set_mask = config.num_sets - 1
+        self._assoc = config.associativity
+        self._reset_slots()
+
+    def _reset_slots(self) -> None:
+        config = self.config
+        self._way_of: Dict[int, int] = {}
+        # Block addresses fit 32 bits: addresses are validated to.
+        self._block_at = array("I", bytes(4 * config.num_blocks))
+        self._dirty = bytearray(config.num_blocks)
+        self._untouched: List[int] = [0] * config.num_sets
+        self._free: Dict[int, List[int]] = {}
 
     # ---------------------------------------------------------------- events
 
@@ -224,7 +236,7 @@ class Cache:
 
     def set_index(self, blk: int) -> int:
         """Set number a block address maps to."""
-        return blk & (self.config.num_sets - 1)
+        return blk & self._set_mask
 
     def tag(self, blk: int) -> int:
         """Tag portion of a block address."""
@@ -234,24 +246,25 @@ class Cache:
 
     def contains(self, address: int) -> bool:
         """True if the block holding ``address`` is resident (no state change)."""
-        blk = self.block_addr(address)
-        return blk in self._sets[self.set_index(blk)]
+        return self.block_addr(address) in self._way_of
 
     def contains_block(self, blk: int) -> bool:
         """Like :meth:`contains` but takes a block address directly."""
-        return blk in self._sets[self.set_index(blk)]
+        return blk in self._way_of
+
+    def way_of_block(self, blk: int) -> Optional[int]:
+        """The way holding block address ``blk``, or None if not resident."""
+        return self._way_of.get(blk)
 
     def resident_blocks(self) -> List[int]:
-        """All resident block addresses (for oracles and tests)."""
-        blocks: List[int] = []
-        for cache_set in self._sets:
-            blocks.extend(cache_set.keys())
-        return blocks
+        """All resident block addresses, by set, each set in fill order."""
+        # The dict is in fill order; a stable sort by set keeps it per set.
+        return sorted(self._way_of, key=self.set_index)
 
     @property
     def occupancy(self) -> int:
         """Number of blocks currently resident."""
-        return sum(len(s) for s in self._sets)
+        return len(self._way_of)
 
     # ---------------------------------------------------------------- access
 
@@ -263,17 +276,20 @@ class Cache:
         explicit :meth:`fill` so that the hierarchy controls the refill
         path.
         """
-        blk = self.block_addr(address)
-        set_index = self.set_index(blk)
-        self.stats.probes += 1
-        line = self._sets[set_index].get(blk)
-        if line is None:
-            self.stats.misses += 1
+        if not 0 <= address < ADDRESS_SPACE:
+            validate_address(address)
+        blk = address >> self._offset_bits
+        stats = self.stats
+        stats.probes += 1
+        way = self._way_of.get(blk)
+        if way is None:
+            stats.misses += 1
             return False
-        self.stats.hits += 1
+        stats.hits += 1
+        set_index = blk & self._set_mask
         if write:
-            line.dirty = True
-        self.policy.on_hit(set_index, self._ways[set_index][blk])
+            self._dirty[set_index * self._assoc + way] = 1
+        self.policy.on_hit(set_index, way)
         return True
 
     def fill(self, address: int, *, dirty: bool = False) -> Optional[int]:
@@ -283,37 +299,45 @@ class Cache:
         state without firing events.  Returns the *block address* (this
         cache's granularity) of the victim, or None if no eviction happened.
         """
-        blk = self.block_addr(address)
-        set_index = self.set_index(blk)
-        cache_set = self._sets[set_index]
-        ways = self._ways[set_index]
-
-        existing = cache_set.get(blk)
-        if existing is not None:
+        if not 0 <= address < ADDRESS_SPACE:
+            validate_address(address)
+        blk = address >> self._offset_bits
+        set_index = blk & self._set_mask
+        base = set_index * self._assoc
+        way_of = self._way_of
+        way = way_of.get(blk)
+        if way is not None:
             if dirty:
-                existing.dirty = True
-            self.policy.on_fill(set_index, ways[blk])
+                self._dirty[base + way] = 1
+            self.policy.on_fill(set_index, way)
             return None
 
+        stats = self.stats
         evicted: Optional[int] = None
         self.last_evicted_dirty = False
-        free = self._free[set_index]
+        free = self._free.get(set_index) if self._free else None
+        untouched = self._untouched[set_index]
         if free:
             way = free.pop()
+            slot = base + way
+        elif untouched < self._assoc:
+            way = untouched
+            self._untouched[set_index] = way + 1
+            slot = base + way
         else:
             way = self.policy.victim(set_index)
-            victim_blk = next(b for b, w in ways.items() if w == way)
-            victim_line = cache_set.pop(victim_blk)
-            del ways[victim_blk]
-            self.stats.evictions += 1
-            if victim_line.dirty:
-                self.stats.dirty_evictions += 1
+            slot = base + way
+            evicted = self._block_at[slot]
+            del way_of[evicted]
+            stats.evictions += 1
+            if self._dirty[slot]:
+                stats.dirty_evictions += 1
                 self.last_evicted_dirty = True
-            evicted = victim_blk
 
-        cache_set[blk] = _Line(blk, dirty=dirty)
-        ways[blk] = way
-        self.stats.fills += 1
+        way_of[blk] = way
+        self._block_at[slot] = blk
+        self._dirty[slot] = 1 if dirty else 0
+        stats.fills += 1
         self.policy.on_fill(set_index, way)
 
         # Fire replace before place: that is the hardware event order (the
@@ -338,13 +362,12 @@ class Cache:
         last = self.block_addr(base_address + max(size - 1, 0))
         count = 0
         for blk in range(first, last + 1):
-            set_index = self.set_index(blk)
-            cache_set = self._sets[set_index]
-            if blk not in cache_set:
+            way = self._way_of.pop(blk, None)
+            if way is None:
                 continue
-            cache_set.pop(blk)
-            way = self._ways[set_index].pop(blk)
-            self._free[set_index].append(way)
+            set_index = blk & self._set_mask
+            self._dirty[set_index * self._assoc + way] = 0
+            self._free.setdefault(set_index, []).append(way)
             self.stats.evictions += 1
             count += 1
             for listener in self._replace_listeners:
@@ -353,12 +376,7 @@ class Cache:
 
     def flush(self) -> None:
         """Empty the cache and reset replacement state (stats are kept)."""
-        for set_index in range(self.config.num_sets):
-            self._sets[set_index].clear()
-            self._ways[set_index].clear()
-            self._free[set_index] = list(
-                range(self.config.associativity - 1, -1, -1)
-            )
+        self._reset_slots()
         self.policy.reset()
 
     def __repr__(self) -> str:

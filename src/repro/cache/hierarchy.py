@@ -219,6 +219,16 @@ class CacheHierarchy:
         for tier_config in config.tiers:
             caches = tuple(Cache(c) for c in tier_config.configs)
             self._tiers.append(caches)
+        # Built once, used on every access: the cache serving each kind at
+        # every tier (loads and stores share the data route), and the
+        # ``hits`` tuple of every supplier (None: main memory).
+        tiers = range(1, len(self._tiers) + 1)
+        self._instruction_route = tuple(
+            self.cache_for(tier, AccessKind.INSTRUCTION) for tier in tiers)
+        self._data_route = tuple(
+            self.cache_for(tier, AccessKind.LOAD) for tier in tiers)
+        self._hits = {supplier: tuple(tier == supplier for tier in tiers)
+                      for supplier in (MEMORY_TIER, *tiers)}
         if inclusive:
             for tier_index, caches in enumerate(self._tiers[1:], start=2):
                 for cache in caches:
@@ -290,28 +300,34 @@ class CacheHierarchy:
         the block); the block is then filled into every missing tier on the
         way back, firing place/replace events that the MNM observes.
         """
+        if kind is AccessKind.INSTRUCTION:
+            route = self._instruction_route
+        elif kind is AccessKind.LOAD or kind is AccessKind.STORE:
+            route = self._data_route
+        else:  # not an AccessKind: resolve (or fail) per tier, as ever
+            route = tuple(self.cache_for(tier, kind)
+                          for tier in range(1, self.num_tiers + 1))
         write = kind is AccessKind.STORE
-        hits: List[bool] = [False] * self.num_tiers
         supplier: Optional[int] = MEMORY_TIER
-
-        for tier in range(1, self.num_tiers + 1):
-            cache = self.cache_for(tier, kind)
+        tier = 0
+        for cache in route:
+            tier += 1
             if cache.probe(address, write=write):
-                hits[tier - 1] = True
                 supplier = tier
                 break
 
-        fill_limit = self.num_tiers if supplier is MEMORY_TIER else supplier - 1
+        fill_limit = len(route) if supplier is MEMORY_TIER else supplier - 1
         # Refill farthest-first: the block lands in the outer levels before
         # the inner ones, mirroring the return path of the data.
         for tier in range(fill_limit, 0, -1):
-            cache = self.cache_for(tier, kind)
+            cache = route[tier - 1]
             evicted = cache.fill(address, dirty=write and tier == 1)
             if self.writeback and evicted is not None and cache.last_evicted_dirty:
                 self._write_back(evicted, tier, kind)
 
         return AccessOutcome(
-            address=address, kind=kind, hits=tuple(hits), supplier=supplier
+            address=address, kind=kind, hits=self._hits[supplier],
+            supplier=supplier,
         )
 
     def _write_back(self, victim_block: int, from_tier: int,

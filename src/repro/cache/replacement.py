@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Dict, List
+from typing import Dict, List, MutableSequence, Optional
 
 
 class ReplacementPolicy(ABC):
@@ -50,61 +50,58 @@ class ReplacementPolicy(ABC):
         """Drop all bookkeeping (cache flush)."""
 
 
-class LRUPolicy(ReplacementPolicy):
+class _OrderedWays(ReplacementPolicy):
+    """Per set, the ways in eviction order (victim first).
+
+    A set's order starts as ``0, 1, ...`` and is built on its first touch,
+    as a bytearray when every way fits a byte (a seventh of a list's size).
+    """
+
+    def __init__(self, num_sets: int, associativity: int) -> None:
+        super().__init__(num_sets, associativity)
+        self._order: List[Optional[MutableSequence[int]]] = [None] * num_sets
+        self._new_order = bytearray if associativity <= 256 else list
+
+    def _touch(self, set_index: int, way: int) -> None:
+        order = self._order[set_index]
+        if order is None:
+            order = self._new_order(range(self.associativity))
+            self._order[set_index] = order
+        order.remove(way)
+        order.append(way)
+
+    def victim(self, set_index: int) -> int:
+        order = self._order[set_index]
+        return 0 if order is None else order[0]
+
+    def reset(self) -> None:
+        self._order = [None] * self.num_sets
+
+
+class LRUPolicy(_OrderedWays):
     """Least-recently-used replacement (the baseline policy).
 
     Keeps, per set, the ways ordered from least to most recently used.
     """
 
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
-        self._order: List[List[int]] = [
-            list(range(associativity)) for _ in range(num_sets)
-        ]
-
-    def _touch(self, set_index: int, way: int) -> None:
-        order = self._order[set_index]
-        order.remove(way)
-        order.append(way)
-
     def on_hit(self, set_index: int, way: int) -> None:
         self._touch(set_index, way)
 
     def on_fill(self, set_index: int, way: int) -> None:
         self._touch(set_index, way)
 
-    def victim(self, set_index: int) -> int:
-        return self._order[set_index][0]
 
-    def reset(self) -> None:
-        self._order = [list(range(self.associativity)) for _ in range(self.num_sets)]
-
-
-class FIFOPolicy(ReplacementPolicy):
+class FIFOPolicy(_OrderedWays):
     """First-in-first-out replacement: evict the oldest *fill*.
 
     Hits do not refresh a block's age.
     """
 
-    def __init__(self, num_sets: int, associativity: int) -> None:
-        super().__init__(num_sets, associativity)
-        self._order: List[List[int]] = [
-            list(range(associativity)) for _ in range(num_sets)
-        ]
-
     def on_hit(self, set_index: int, way: int) -> None:
         pass
 
     def on_fill(self, set_index: int, way: int) -> None:
-        order = self._order[set_index]
-        order.remove(way)
-        order.append(way)
-
-    def victim(self, set_index: int) -> int:
-        return self._order[set_index][0]
-
-    def reset(self) -> None:
-        self._order = [list(range(self.associativity)) for _ in range(self.num_sets)]
+        self._touch(set_index, way)
 
 
 class RandomPolicy(ReplacementPolicy):

@@ -103,7 +103,7 @@ class WayPredictionMeter:
         stats.ways_read_baseline += ways
         if hit:
             stats.hits += 1
-            actual = cache._ways[set_index][blk]
+            actual = cache.way_of_block(blk)
             if actual == predicted:
                 stats.correct += 1
                 stats.ways_read += 1
@@ -113,7 +113,7 @@ class WayPredictionMeter:
         else:
             stats.ways_read += ways
             cache.fill(address)
-            self.predictor.update(set_index, cache._ways[set_index][blk])
+            self.predictor.update(set_index, cache.way_of_block(blk))
         return hit
 
     def reset(self) -> None:

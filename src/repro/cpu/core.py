@@ -21,7 +21,7 @@ feasible (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.addresses import log2_exact
 from repro.cache.cache import AccessKind
@@ -103,6 +103,34 @@ def paper_core(width: int = 8) -> CoreConfig:
             name="paper-4way", width=4, ruu_size=64, lsq_size=32, units=halved,
         )
     raise ValueError(f"the paper uses 4- and 8-way cores, got width={width}")
+
+
+def core_references(
+    instructions: Iterable[Instruction], fetch_block_size: int
+) -> Iterator[Tuple[int, AccessKind]]:
+    """The ``(address, kind)`` accesses :meth:`OutOfOrderCore.run` makes, in order.
+
+    One instruction fetch per change of fetch line, then one load or store
+    per memory instruction.  Every branch, taken or not, ends the fetch
+    line, so the instruction after a branch always fetches.  That is one
+    rule away from :meth:`repro.workloads.trace.Trace.memory_references`,
+    the stream of the hierarchy-only figures, which ends a line only at
+    *taken* branches and so issues fewer fetches.
+    """
+    line_shift = log2_exact(fetch_block_size)
+    current_line = -1
+    for inst in instructions:
+        line = inst.pc >> line_shift
+        if line != current_line:
+            current_line = line
+            yield inst.pc, AccessKind.INSTRUCTION
+        op = inst.op
+        if op is OpClass.LOAD:
+            yield inst.addr, AccessKind.LOAD
+        elif op is OpClass.STORE:
+            yield inst.addr, AccessKind.STORE
+        elif op is OpClass.BRANCH:
+            current_line = -1
 
 
 @dataclass
@@ -296,7 +324,8 @@ class OutOfOrderCore:
                         new_redirect = complete + config.mispredict_penalty
                         if new_redirect > redirect:
                             redirect = new_redirect
-                # A taken branch ends the fetch line even when predicted.
+                # Every branch, taken or not, ends the fetch line (see
+                # core_references).
                 current_line = -1
 
             dest = inst.dest

@@ -31,6 +31,17 @@ recomputable) pass ``fsync=False``.
 from __future__ import annotations
 
 import os
+import threading
+
+
+def _temp_path(path: str) -> str:
+    """A temp name beside ``path``, unique per process *and* thread.
+
+    Concurrent writers in one process (threads contending for a lease)
+    must not share a temp file, or one's ``os.replace`` moves the
+    other's bytes and the loser's rename fails.
+    """
+    return f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
 
 
 def _write_temp(tmp_path: str, data: bytes, fsync: bool) -> None:
@@ -53,10 +64,10 @@ def replace_atomic(path: str, data: bytes, fsync: bool = True) -> None:
 
     A crash at any point leaves either the old content or the new —
     never a mixture, never a truncation.  The temp file lives beside
-    the target (same filesystem, pid-suffixed) so ``os.replace`` is a
-    rename, and is cleaned up on failure.
+    the target (same filesystem, pid- and thread-suffixed) so
+    ``os.replace`` is a rename, and is cleaned up on failure.
     """
-    tmp_path = f"{path}.tmp.{os.getpid()}"
+    tmp_path = _temp_path(path)
     try:
         _write_temp(tmp_path, data, fsync)
         os.replace(tmp_path, path)
@@ -74,7 +85,7 @@ def publish_linked(path: str, data: bytes, fsync: bool = True) -> bool:
     already published.  Other ``OSError``\\ s propagate after the temp
     file is discarded.
     """
-    tmp_path = f"{path}.tmp.{os.getpid()}"
+    tmp_path = _temp_path(path)
     try:
         _write_temp(tmp_path, data, fsync)
         try:
@@ -97,12 +108,29 @@ def publish_linked(path: str, data: bytes, fsync: bool = True) -> bool:
 def create_exclusive(path: str, data: bytes, fsync: bool = True) -> bool:
     """Create ``path`` with ``data`` iff it does not exist yet.
 
-    The ``O_CREAT | O_EXCL`` claim: returns True when this call created
-    the file, False when a contender already holds the name.  The
-    write-then-fsync happens on the claimed descriptor, so a crash
-    mid-write leaves a claimed-but-short file — callers that need
-    torn-claim detection (the queue) already quarantine on read-back.
+    Returns True when this call created the file, False when a
+    contender already holds the name.  The bytes are written to a temp
+    file first and hard-linked into place, so a contender that loses
+    the race never reads a claimed-but-empty file (and takes it for an
+    abandoned one).  Without hard links the claim falls back to
+    ``O_CREAT | O_EXCL`` with the write on the claimed descriptor, where
+    a crash mid-write leaves a claimed-but-short file — callers that
+    need torn-claim detection (the queue) already quarantine on
+    read-back.
     """
+    tmp_path = _temp_path(path)
+    try:
+        _write_temp(tmp_path, data, fsync)
+        try:
+            os.link(tmp_path, path)
+        except FileExistsError:
+            return False
+        except OSError:
+            pass  # no hard links here: claim with O_EXCL below
+        else:
+            return True
+    finally:
+        _discard(tmp_path)
     try:
         descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
                              0o644)

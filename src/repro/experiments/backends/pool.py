@@ -15,6 +15,7 @@ telemetry" means, whichever substrate the task travels over.
 
 from __future__ import annotations
 
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -112,11 +113,29 @@ def run_task(
             configure_faults(None)
 
 
-def terminate_pool(pool: ProcessPoolExecutor) -> None:
+#: Seconds :func:`terminate_pool` lets SIGTERMed workers exit before it
+#: escalates to SIGKILL.
+TERMINATE_GRACE_S = 2.0
+
+
+def _default_sigterm() -> None:
+    """Pool initializer: give the worker SIGTERM's default disposition.
+
+    Fork-started workers inherit the parent's handlers, and the CLI maps
+    SIGTERM to ``KeyboardInterrupt``.  A worker that kept that mapping
+    would turn :func:`terminate_pool`'s SIGTERM into an exception inside
+    its task, report it, and keep running.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def terminate_pool(pool: ProcessPoolExecutor,
+                   grace: float = TERMINATE_GRACE_S) -> None:
     """Abandon a pool that may contain hung or dead workers.
 
     ``shutdown(wait=True)`` would block forever on a hung worker, so the
-    teardown cancels queued work and terminates any process still alive.
+    teardown cancels queued work and terminates any process still alive,
+    then kills whatever has not exited within ``grace`` seconds.
     (``_processes`` is private API, hence the defensive ``getattr`` — a
     missing attribute degrades to plain shutdown, never to a crash.)
     """
@@ -126,6 +145,15 @@ def terminate_pool(pool: ProcessPoolExecutor) -> None:
         try:
             if process.is_alive():
                 process.terminate()
+        except OSError:
+            pass
+    deadline = time.monotonic() + grace
+    for process in processes:
+        try:
+            process.join(max(deadline - time.monotonic(), 0.0))
+            if process.is_alive():
+                process.kill()
+                process.join(grace)
         except OSError:
             pass
 
@@ -182,7 +210,8 @@ class PoolBackend:
                                        start_attempt=attempts[index])
                 return
 
-            pool = ProcessPoolExecutor(max_workers=min(jobs, len(incomplete)))
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(incomplete)),
+                                       initializer=_default_sigterm)
             submitted: List[Tuple[int, Task, Any]] = []
             next_round: List[Tuple[int, Task]] = []
             pool_broken = False

@@ -50,10 +50,11 @@ class ExperimentSettings:
             environment variable.  Deliberately **excluded** from the
             pass-cache fingerprint — injected faults must never change
             what a result is keyed as, only whether computing it fails.
-        engine: reference-pass implementation, ``"interp"`` or ``"fast"``
-            (the numpy kernel).  Also excluded from the pass-cache
+        engine: simulation implementation for reference passes and
+            full-system runs, ``"fast"`` (the numpy kernel) or
+            ``"interp"`` (the oracle).  Also excluded from the pass-cache
             fingerprint: the engines are byte-identical by contract, so
-            their passes are legitimately interchangeable.
+            their results are legitimately interchangeable.
     """
 
     num_instructions: int = DEFAULT_INSTRUCTIONS
@@ -64,7 +65,7 @@ class ExperimentSettings:
     # repro: allow[R007] faults change whether computing fails, never what a result is keyed as
     fault_spec: str = ""
     # repro: allow[R007] engines are byte-identical by pinned contract, so passes are interchangeable
-    engine: str = "interp"
+    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if self.num_instructions < 1000:
@@ -232,6 +233,7 @@ def core_run(
     result = run_core_trace(
         trace, hierarchy_config, design,
         warmup=settings.warmup_instructions,
+        engine=settings.engine,
     )
     cache.store(key, result)
     return result

@@ -249,10 +249,11 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workloads", type=str, default="",
                         help="comma-separated workload subset")
     parser.add_argument("--engine", choices=("interp", "fast"),
-                        default="interp",
-                        help="reference-pass engine: 'interp' (pure-Python "
-                             "oracle, default) or 'fast' (batched numpy "
-                             "kernel; byte-identical results)")
+                        default="fast",
+                        help="simulation engine for reference passes and "
+                             "full-system runs: 'fast' (batched numpy "
+                             "kernel, default) or 'interp' (pure-Python "
+                             "oracle); byte-identical results")
     parser.add_argument("--output", type=str, default="",
                         help="also append rendered results to this file")
     parser.add_argument("--chart", action="store_true",

@@ -1,45 +1,51 @@
-"""Record/replay implementation of the multi-design reference pass.
+"""Record/replay kernel: the fast implementation of both simulation kinds.
 
 The interpreter in :mod:`repro.simulate` walks every reference through
-every design's filters one at a time.  This engine restructures the same
+every design's filters one at a time.  This kernel restructures the same
 computation into three phases so the per-reference Python overhead is paid
 once, not once per design:
 
-**Phase A (record).**  Drive the real :class:`~repro.cache.hierarchy.
-CacheHierarchy` over the reference stream exactly as the interpreter does
-(including warmup and the warmup-boundary stats reset), but with recording
-listeners on every tracked cache instead of filter listeners.  The result
-is three parallel arrays (address, access-kind code, supplier code) plus
-the ordered place/replace event stream each cache produced.
+**Phase A (record, :func:`record`).**  Drive the real :class:`~repro.
+cache.hierarchy.CacheHierarchy` over the reference stream exactly as the
+interpreter does (including warm-up and the statistics resets), but with
+recording listeners on every tracked cache instead of filter listeners.
+The result is flat integer arrays: per reference the address, access-kind
+code and supplier code, and per event the reference ordinal, cache and
+block of the ordered place/replace stream each cache produced.
 
-**Phase B (replay).**  For each design, build a real
+**Phase B (replay, :class:`Replay`).**  For each design, build a real
 :class:`~repro.core.machine.MostlyNoMachine` on a fresh (never accessed)
 host hierarchy and replay the recorded events against its filters.  Filter
 state only changes at events, so between consecutive events every query is
 answered by one vectorized :meth:`~repro.core.base.MissFilter.query_many`
 call over the whole segment.  Non-RMNM components replay per cache (a
 cache's own events are sparse, so segments are long); the shared RMNM
-replays once per design over the global event stream, and each lane's bits
-are then extracted vectorially.
+replays once per geometry over the global event stream, and each lane's
+bits are then extracted vectorially.
 
-**Phase C (account).**  Timing, energy and coverage depend only on the
-(kind, supplier, miss-bit pattern) equivalence class of a reference, so
-the models run once per *class* and integer totals fold with ``bincount``
-dot products.  Float energy is kept byte-identical by recording, per
-class, the exact sequence of ``+=`` operands the accountant performs, then
-replaying those operands in original reference order with the same
-left-to-right summation the interpreter used.
+**Phase C (account, :class:`Accounting`).**  Timing, energy and coverage
+depend only on the (kind, supplier, miss-bit pattern) equivalence class of
+a reference, so the models run once per *class* and integer totals fold
+with ``bincount`` dot products.  Float energy is kept byte-identical by
+recording, per class, the exact sequence of ``+=`` operands the accountant
+performs, then replaying those operands in original reference order with
+the same left-to-right summation the interpreter used.
 
-The interpreter is the oracle: every number this engine returns — ints,
-floats, telemetry counters — must equal it exactly, which CI pins by
-byte-comparing full reports between ``--engine interp`` and
-``--engine fast``.
+:func:`run_reference_pass_fast` composes the phases for many designs over
+a reference stream; :func:`repro.simulate.run_core_trace` composes them
+for one design over the out-of-order core's stream, then times the core
+against the resulting latencies.  The interpreter is the oracle: every
+number the kernel returns — ints, floats, telemetry counters — must equal
+it exactly, which CI pins by byte-comparing full reports between
+``--engine interp`` and ``--engine fast``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.addresses import log2_exact
 from repro.analysis.coverage import CoverageMeter
@@ -62,14 +68,416 @@ try:  # numpy is required here (the interpreter is the numpy-free path).
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
+#: Access kinds by the integer code the recording stores.
+KINDS: Tuple[AccessKind, ...] = (AccessKind.INSTRUCTION, AccessKind.LOAD,
+                                 AccessKind.STORE)
+
 #: EnergyTotals fields accumulated with float ``+=`` (order-sensitive).
 _FLOAT_FIELDS = ("cache_probe_nj", "miss_probe_nj", "refill_nj", "mnm_nj")
+
+#: References per chunk of the energy fold (bounds its scratch memory).
+_ENERGY_CHUNK = 1024
 
 #: Segments at or below this length are answered with scalar
 #: ``is_definite_miss`` calls instead of ``query_many`` — a numpy
 #: round-trip costs more than a handful of scalar lookups.
 _SCALAR_SEGMENT = 16
 
+
+def engine_available() -> bool:
+    """True when the fast engine can run (numpy importable)."""
+    return _np is not None
+
+
+def _require_numpy() -> None:
+    if _np is None:
+        raise RuntimeError(
+            "the fast engine requires numpy; "
+            "use engine='interp' on numpy-free installs"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Phase A: record
+# ---------------------------------------------------------------------------
+
+class Recording:
+    """One hierarchy walk, held in flat integer arrays.
+
+    Attributes:
+        hierarchy: the walked hierarchy (its statistics are the run's).
+        tracked: ``(tier, cache)`` of every cache at tier 2 or beyond.
+        count: recorded references (the warm-up prefix excluded).
+        seen: references consumed, warm-up prefix included.
+        addresses / kinds / suppliers: per recorded reference, the byte
+            address, the :data:`KINDS` code and the supplying tier (0 for
+            main memory).
+        event_ordinals / event_codes / event_blocks: per tracked-cache
+            event, in firing order: the recorded reference that caused it
+            (-1 during the warm-up prefix), ``2 * tracked_index + is_place``
+            and the cache's block address.
+    """
+
+    __slots__ = ("hierarchy", "tracked", "count", "seen", "addresses",
+                 "kinds", "suppliers", "event_ordinals", "event_codes",
+                 "event_blocks")
+
+    def __init__(self, hierarchy: CacheHierarchy,
+                 tracked: List[Tuple[int, Cache]]) -> None:
+        self.hierarchy = hierarchy
+        self.tracked = tracked
+        self.count = 0
+        self.seen = 0
+        # Compact columns: addresses and blocks fit 32 bits (addresses are
+        # validated to), ordinals 31 (fewer than 2**31 references), kinds
+        # and suppliers a byte.
+        self.addresses = array("I")
+        self.kinds = array("b")
+        self.suppliers = array("b")
+        self.event_ordinals = array("i")
+        self.event_codes = array("i")
+        self.event_blocks = array("I")
+
+
+def record(
+    references: Iterable[Tuple[int, AccessKind]],
+    hierarchy_config: HierarchyConfig,
+    warmup: int = 0,
+    reset_at: int = 0,
+) -> Recording:
+    """Phase A: walk a fresh hierarchy over ``references``.
+
+    The first ``warmup`` references only warm the caches: they are not
+    recorded (their events are, with ordinal -1, so filters can train on
+    them), and the hierarchy's statistics restart once the prefix is
+    complete.  When ``reset_at`` is positive the statistics also restart
+    just before recorded reference ``reset_at`` (or after the last one,
+    when it is the stream's length) — the full-system warm-up boundary,
+    where queries continue but measurement starts.
+    """
+    hierarchy = CacheHierarchy(hierarchy_config)
+    tracked = [(tier, cache) for tier, cache in hierarchy.all_caches()
+               if tier >= 2]
+    recording = Recording(hierarchy, tracked)
+    current = [-1]  # recorded ordinal of the in-flight access; -1 = warm-up
+    ordinals = recording.event_ordinals
+    codes = recording.event_codes
+    blocks = recording.event_blocks
+
+    def _recording_listener(code: int):
+        def listener(_cache: Cache, block: int) -> None:
+            ordinals.append(current[0])
+            codes.append(code)
+            blocks.append(block)
+
+        return listener
+
+    for index, (_tier, cache) in enumerate(tracked):
+        cache.add_replace_listener(_recording_listener(2 * index))
+        cache.add_place_listener(_recording_listener(2 * index + 1))
+
+    access = hierarchy.access
+    stream = iter(references)
+    seen = 0
+    if warmup > 0:
+        for address, kind in islice(stream, warmup):
+            access(address, kind)
+            seen += 1
+        if seen == warmup:
+            hierarchy.reset_stats()
+
+    addresses = recording.addresses
+    kinds = recording.kinds
+    suppliers = recording.suppliers
+    instruction, load, _store = KINDS  # kind codes are indices into KINDS
+    count = 0
+    for address, kind in stream:
+        if count == reset_at and count:
+            hierarchy.reset_stats()
+        current[0] = count
+        count += 1
+        supplier = access(address, kind).supplier
+        addresses.append(address)
+        kinds.append(0 if kind is instruction else 1 if kind is load else 2)
+        suppliers.append(0 if supplier is None else supplier)
+    if count == reset_at and count:  # the boundary follows the last access
+        hierarchy.reset_stats()
+    recording.count = count
+    recording.seen = seen + count
+    return recording
+
+
+# ---------------------------------------------------------------------------
+# Phase B: replay
+# ---------------------------------------------------------------------------
+
+class Replay:
+    """Per-design miss bits from a recording's event stream.
+
+    Filter state is a pure function of (configuration, event stream), so
+    identically-configured components on the same cache — which recur
+    constantly across the paper's design line-up (a TMNM size appears
+    standalone *and* inside hybrids, placement variants share every
+    filter) — share one replay.  The memo key includes the type, the
+    paper-style name (which encodes the geometry) and the storage bits as
+    a defensive fingerprint of the remaining parameters.
+    """
+
+    def __init__(self, recording: Recording) -> None:
+        _require_numpy()
+        self.recording = recording
+        self.n = recording.count
+        hierarchy = recording.hierarchy
+        tracked = recording.tracked
+        self.num_tiers = hierarchy.num_tiers
+        granule = hierarchy.config.mnm_granule
+        self.fanouts = [cache.config.block_size // granule
+                        for _tier, cache in tracked]
+        addresses = _np.frombuffer(recording.addresses,
+                                   dtype=recording.addresses.typecode)
+        self.granules = (addresses >> log2_exact(granule)).astype(_np.int64)
+        kinds = _np.frombuffer(recording.kinds, dtype=recording.kinds.typecode)
+
+        # Rows each tracked cache serves: None means every reference
+        # (unified caches); split tiers get the rows of the kinds they serve.
+        self.rows: List[Optional["_np.ndarray"]] = []
+        self.cache_granules: List["_np.ndarray"] = []
+        for tier, cache in tracked:
+            serving = [code for code, kind in enumerate(KINDS)
+                       if hierarchy.cache_for(tier, kind) is cache]
+            if len(serving) == len(KINDS):
+                self.rows.append(None)
+                self.cache_granules.append(self.granules)
+            else:
+                rows = _np.flatnonzero(_np.isin(kinds, serving)).astype(
+                    _np.int32)
+                self.rows.append(rows)
+                self.cache_granules.append(self.granules[rows])
+
+        # Events as (ordinal, tracked index, is_place, first granule).  A
+        # query at recorded reference ``i`` sees state *before* reference
+        # ``i``'s own events (the interpreter queries first, accesses
+        # second), so an event at ordinal ``o`` bounds the rows with
+        # ordinal <= o — ``searchsorted(..., side="right")``.
+        # Event columns are zero-copy views; derived columns are built per
+        # use, so a replay holds no per-event copies.
+        self.event_ordinals = _np.frombuffer(
+            recording.event_ordinals, dtype=recording.event_ordinals.typecode)
+        self.event_codes = _np.frombuffer(
+            recording.event_codes, dtype=recording.event_codes.typecode)
+        self.event_blocks = _np.frombuffer(
+            recording.event_blocks, dtype=recording.event_blocks.typecode)
+        self._fanout_of = _np.array(self.fanouts, dtype=_np.int64)
+        self.warm = int(_np.count_nonzero(self.event_ordinals < 0))
+
+        self._component_answers: Dict[Tuple, "_np.ndarray"] = {}
+        self._lane_answers: Dict[Tuple, "_np.ndarray"] = {}
+        self._rmnm_bits: Dict[Tuple[int, int], "_np.ndarray"] = {}
+
+    # -- event views ----------------------------------------------------------
+
+    # Event iterators zip memoryviews: they yield Python ints one at a
+    # time, without materialising a list per column.
+
+    def _cache_events(self, cache_index: int, warm: bool):
+        """One cache's (bound, is_place, first granule) events, in order."""
+        span = slice(None, self.warm) if warm else slice(self.warm, None)
+        codes = self.event_codes[span]
+        mine = _np.flatnonzero((codes >> 1) == cache_index)
+        places = memoryview(codes[mine] & 1)
+        firsts = memoryview(self.event_blocks[span][mine].astype(_np.int64)
+                            * self.fanouts[cache_index])
+        if warm:
+            return zip(places, firsts)
+        ordinals = self.event_ordinals[span][mine]
+        rows = self.rows[cache_index]
+        if rows is None:
+            bounds = ordinals + 1
+        else:
+            bounds = _np.searchsorted(rows, ordinals, side="right")
+        return zip(memoryview(bounds), places, firsts)
+
+    def _global_events(self, warm: bool):
+        """Every tracked cache's (bound, index, is_place, first), in order."""
+        span = slice(None, self.warm) if warm else slice(self.warm, None)
+        codes = self.event_codes[span]
+        caches = codes >> 1
+        firsts = (self.event_blocks[span].astype(_np.int64)
+                  * self._fanout_of[caches])
+        return zip(memoryview(self.event_ordinals[span] + 1),
+                   memoryview(caches), memoryview(codes & 1),
+                   memoryview(firsts))
+
+    # -- replays ----------------------------------------------------------------
+
+    def _replay_component(self, cache_index: int, component) -> "_np.ndarray":
+        """Train one filter on warm-up, then run the segmented batch replay.
+
+        Between two state-changing events every answer is constant, so the
+        whole segment is one vectorized :meth:`query_many` call; events
+        apply scalar, exactly as the interpreter's listeners would.  Very
+        short segments (miss-heavy streams have many) fall back to the
+        scalar oracle :meth:`is_definite_miss` — the element-wise-agreement
+        contract makes the two paths interchangeable — because a numpy
+        round-trip costs more than a handful of scalar calls.
+        """
+        on_place = component.on_place
+        on_replace = component.on_replace
+        fanout = self.fanouts[cache_index]
+        for is_place, first_granule in self._cache_events(cache_index, True):
+            target = on_place if is_place else on_replace
+            if fanout == 1:
+                target(first_granule)
+            else:
+                for granule_addr in range(first_granule,
+                                          first_granule + fanout):
+                    target(granule_addr)
+        cache_granules = self.cache_granules[cache_index]
+        # Indexing a memoryview yields Python ints without a list copy.
+        granule_ints = memoryview(cache_granules)
+        rows_served = cache_granules.shape[0]
+        answers = _np.zeros(rows_served, dtype=bool)
+        position = 0
+        query = component.query_many
+        miss = component.is_definite_miss
+        for bound, is_place, first_granule in self._cache_events(
+                cache_index, False):
+            if bound > position:
+                if bound - position <= _SCALAR_SEGMENT:
+                    for row in range(position, bound):
+                        if miss(granule_ints[row]):
+                            answers[row] = True
+                else:
+                    answers[position:bound] = query(
+                        cache_granules[position:bound])
+                position = bound
+            target = on_place if is_place else on_replace
+            if fanout == 1:
+                target(first_granule)
+            else:
+                for granule_addr in range(
+                        first_granule, first_granule + fanout):
+                    target(granule_addr)
+        if position < rows_served:
+            answers[position:] = query(cache_granules[position:])
+        return answers
+
+    def _replay_rmnm(self, rmnm) -> "_np.ndarray":
+        """Per-reference replaced-bit words of one shared RMNM geometry.
+
+        The RMNM sees every tracked cache's events in global order (its
+        eviction decisions depend on the interleaving), so it replays over
+        the global stream once; lanes then extract their bit vectorially.
+        """
+        fanouts = self.fanouts
+        for _bound, cache_index, is_place, first_granule in (
+                self._global_events(True)):
+            record_event = rmnm.record_place if is_place else rmnm.record_replace
+            fanout = fanouts[cache_index]
+            if fanout == 1:
+                record_event(first_granule, cache_index)
+            else:
+                for granule_addr in range(first_granule,
+                                          first_granule + fanout):
+                    record_event(granule_addr, cache_index)
+        n = self.n
+        granules = self.granules
+        replaced = _np.empty(n, dtype=_np.int64)
+        position = 0
+        record_place = rmnm.record_place
+        record_replace = rmnm.record_replace
+        bits_many = rmnm.replaced_bits_many
+        bits_of = rmnm.replaced_bits_of
+        all_ints = memoryview(granules)
+        for bound, cache_index, is_place, first_granule in (
+                self._global_events(False)):
+            if bound > position:
+                if bound - position <= _SCALAR_SEGMENT:
+                    for row in range(position, bound):
+                        replaced[row] = bits_of(all_ints[row])
+                else:
+                    replaced[position:bound] = bits_many(
+                        granules[position:bound])
+                position = bound
+            record_event = record_place if is_place else record_replace
+            fanout = fanouts[cache_index]
+            if fanout == 1:
+                record_event(first_granule, cache_index)
+            else:
+                for granule_addr in range(
+                        first_granule, first_granule + fanout):
+                    record_event(granule_addr, cache_index)
+        if position < n:
+            replaced[position:] = bits_many(granules[position:])
+        return replaced
+
+    def _lane(self, rmnm, cache_index: int, lane: int) -> "_np.ndarray":
+        geometry = (rmnm.num_blocks, rmnm.associativity)
+        key = (geometry, cache_index, lane)
+        answers = self._lane_answers.get(key)
+        if answers is None:
+            replaced = self._rmnm_bits.get(geometry)
+            if replaced is None:
+                replaced = self._replay_rmnm(rmnm)
+                self._rmnm_bits[geometry] = replaced
+            rows = self.rows[cache_index]
+            lane_bits = replaced if rows is None else replaced[rows]
+            answers = (lane_bits >> lane) & 1 != 0
+            self._lane_answers[key] = answers
+        return answers
+
+    def _component(self, cache_index: int, component) -> "_np.ndarray":
+        if isinstance(component, RMNMLane):
+            return self._lane(component.shared, cache_index, component.lane)
+        key = (cache_index, type(component).__name__, component.name,
+               component.storage_bits)
+        answers = self._component_answers.get(key)
+        if answers is None:
+            answers = self._replay_component(cache_index, component)
+            self._component_answers[key] = answers
+        return answers
+
+    def bits(self, machine: MostlyNoMachine) -> "_np.ndarray":
+        """``(count, num_tiers)`` miss bits of ``machine`` per reference.
+
+        Each cache's answers are the OR of its (memoised) component
+        replays; the machine's :class:`FilterStats` and the registry's
+        ``mnm.queries`` / ``mnm.miss_answers`` advance exactly as the
+        interpreter's per-reference queries would advance them.
+        """
+        n = self.n
+        bits_matrix = _np.zeros((n, self.num_tiers), dtype=bool)
+        for cache_index, (tier, cache) in enumerate(self.recording.tracked):
+            filter_ = machine.filter_for(cache.config.name)
+            components = (filter_.components
+                          if isinstance(filter_, CompositeFilter)
+                          else (filter_,))
+            answers: Optional["_np.ndarray"] = None
+            for component in components:
+                part = self._component(cache_index, component)
+                answers = part if answers is None else answers | part
+            if answers is None:  # pragma: no cover - composites are never empty
+                answers = _np.zeros(self.cache_granules[cache_index].shape[0],
+                                    dtype=bool)
+            stats = machine.stats_for(cache.config.name)
+            stats.lookups += answers.shape[0]
+            stats.miss_answers += int(answers.sum())
+            rows = self.rows[cache_index]
+            if rows is None:
+                bits_matrix[:, tier - 1] = answers
+            else:
+                bits_matrix[rows, tier - 1] = answers
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter("mnm.queries").inc(n)
+            registry.counter("mnm.miss_answers").inc(
+                int(bits_matrix.any(axis=1).sum()))
+        return bits_matrix
+
+
+# ---------------------------------------------------------------------------
+# Phase C: account
+# ---------------------------------------------------------------------------
 
 class _FieldRecorder:
     """Append-only stand-in for one float field of ``EnergyTotals``."""
@@ -114,34 +522,163 @@ class _RecordingTotals:
         return programs
 
 
-def _replay_energy(accountant: EnergyAccountant,
-                   matrices: Dict[str, "_np.ndarray"],
-                   class_ids: "_np.ndarray", n: int) -> None:
-    """Fold per-class add programs into real totals in reference order.
+class Accounting:
+    """Prices references by equivalence class and folds the totals.
 
-    Each class's add stream is zero-padded to the longest program; the
-    flattened per-reference sequence is then summed with
-    ``np.add.accumulate`` — a strict left-to-right fold, so it performs
-    the same float additions as the interpreter's ``+=`` loop from the
-    dataclass default ``0.0``.  The padding is exact: every operand is a
-    non-negative energy cost, so the running total is never ``-0.0`` and
-    ``x + 0.0 == x`` bit-for-bit.
+    A reference's class is its (kind, supplier) *base* id, shifted left by
+    one bit per tracked tier and OR-ed with its miss-bit pattern when a
+    design's bits are known.  Every model runs once per present class.
     """
-    totals = accountant.totals
-    for fieldname in _FLOAT_FIELDS:
-        matrix = matrices[fieldname]
-        if matrix.shape[1] == 0:
-            setattr(totals, fieldname, 0.0)
-        else:
-            flat = matrix[class_ids].ravel()
-            setattr(totals, fieldname, float(_np.add.accumulate(flat)[-1]))
-    totals.accesses = n
+
+    def __init__(self, recording: Recording) -> None:
+        _require_numpy()
+        num_tiers = self.num_tiers = recording.hierarchy.num_tiers
+        self.num_base = len(KINDS) * (num_tiers + 1)
+        self.pattern_bits = max(num_tiers - 1, 0)
+        self.pattern_mask = (1 << self.pattern_bits) - 1
+        # Class ids index small tables; int32 halves the per-reference arrays.
+        self._dtype = (_np.int32 if self.num_classes(True) < 1 << 31
+                       else _np.int64)
+        kinds = _np.frombuffer(recording.kinds, dtype=recording.kinds.typecode)
+        suppliers = _np.frombuffer(recording.suppliers,
+                                   dtype=recording.suppliers.typecode)
+        self.base_ids = (kinds.astype(self._dtype) * (num_tiers + 1)
+                         + suppliers)
+        self._outcomes: Dict[int, AccessOutcome] = {}
+        self._bits: Dict[int, Tuple[bool, ...]] = {}
+        self._recorder = _RecordingTotals()
+
+    def num_classes(self, with_bits: bool) -> int:
+        return self.num_base << self.pattern_bits if with_bits else self.num_base
+
+    def class_ids(self, bits_matrix: Optional["_np.ndarray"]) -> "_np.ndarray":
+        """Per-reference class ids (base ids alone when ``bits_matrix`` is None)."""
+        if bits_matrix is None:
+            return self.base_ids
+        pattern = _np.zeros(bits_matrix.shape[0], dtype=self._dtype)
+        for tier in range(2, self.num_tiers + 1):
+            pattern |= bits_matrix[:, tier - 1].astype(self._dtype) << (tier - 2)
+        return (self.base_ids << self.pattern_bits) | pattern
+
+    def outcome(self, base_id: int) -> AccessOutcome:
+        outcome = self._outcomes.get(base_id)
+        if outcome is None:
+            num_tiers = self.num_tiers
+            kind_code, sup_code = divmod(base_id, num_tiers + 1)
+            if sup_code == 0:
+                hits: Tuple[bool, ...] = (False,) * num_tiers
+                supplier = None
+            else:
+                hits = tuple(t == sup_code for t in range(1, num_tiers + 1))
+                supplier = sup_code
+            outcome = AccessOutcome(
+                address=0, kind=KINDS[kind_code], hits=hits, supplier=supplier,
+            )
+            self._outcomes[base_id] = outcome
+        return outcome
+
+    def bits(self, pattern: int) -> Tuple[bool, ...]:
+        bits_tuple = self._bits.get(pattern)
+        if bits_tuple is None:
+            bits_tuple = (False,) + tuple(
+                bool((pattern >> (tier - 2)) & 1)
+                for tier in range(2, self.num_tiers + 1)
+            )
+            self._bits[pattern] = bits_tuple
+        return bits_tuple
+
+    def unpack(self, class_id: int, with_bits: bool
+               ) -> Tuple[AccessOutcome, Optional[Tuple[bool, ...]]]:
+        """The (outcome, bits) pair every reference of a class shares."""
+        if not with_bits:
+            return self.outcome(class_id), None
+        return (self.outcome(class_id >> self.pattern_bits),
+                self.bits(class_id & self.pattern_mask))
+
+    def table(self, present: "_np.ndarray", with_bits: bool,
+              price: Callable[[AccessOutcome, Optional[Tuple[bool, ...]]], int]
+              ) -> "_np.ndarray":
+        """Per-class integer price (``price(outcome, bits)``) of present classes."""
+        values = _np.zeros(self.num_classes(with_bits), dtype=_np.int64)
+        for class_id in present.tolist():
+            values[class_id] = price(*self.unpack(class_id, with_bits))
+        return values
+
+    def fold(self, counts: "_np.ndarray", present: "_np.ndarray",
+             with_bits: bool, latency_of: "_np.ndarray",
+             meter: Optional[CoverageMeter], telemetry) -> None:
+        """Fold class counts into a coverage meter and access telemetry.
+
+        ``latency_of`` is the per-class latency table; ``telemetry`` is a
+        :class:`repro.simulate._AccessTelemetry` buffer.  Either sink may
+        be None.
+        """
+        for class_id in present.tolist():
+            class_count = int(counts[class_id])
+            outcome, class_bits = self.unpack(class_id, with_bits)
+            if meter is not None:
+                meter.record_many(outcome, class_bits, class_count)
+            if telemetry is not None:
+                telemetry.record_many(outcome, class_bits, class_count,
+                                      int(latency_of[class_id]))
+
+    def energy(self, accountant: EnergyAccountant, class_ids: "_np.ndarray",
+               present: "_np.ndarray", with_bits: bool) -> None:
+        """Set ``accountant.totals`` as if it had accounted ``class_ids`` in order.
+
+        Each present class's exact add stream is captured once, zero-padded
+        to the longest program, and the flattened per-reference sequence is
+        summed with ``np.add.accumulate`` — a strict left-to-right fold, so
+        it performs the same float additions as the interpreter's ``+=``
+        loop from the dataclass default ``0.0``.  The padding is exact:
+        every operand is a non-negative energy cost, so the running total
+        is never ``-0.0`` and ``x + 0.0 == x`` bit-for-bit.
+        """
+        size = self.num_classes(with_bits)
+        recorder = self._recorder
+        programs: Dict[str, List[Tuple[float, ...]]] = {
+            fieldname: [()] * size for fieldname in _FLOAT_FIELDS
+        }
+        real_totals = accountant.totals
+        accountant.totals = recorder  # type: ignore[assignment]
+        try:
+            for class_id in present.tolist():
+                accountant.account(*self.unpack(class_id, with_bits))
+                for fieldname, program in recorder.take().items():
+                    programs[fieldname][class_id] = program
+        finally:
+            accountant.totals = real_totals
+        for fieldname, field_programs in programs.items():
+            width = max(map(len, field_programs), default=0)
+            if width == 0 or class_ids.shape[0] == 0:
+                setattr(real_totals, fieldname, 0.0)
+                continue
+            matrix = _np.zeros((size, width), dtype=_np.float64)
+            for class_id, program in enumerate(field_programs):
+                if program:
+                    matrix[class_id, :len(program)] = program
+            # Folded in chunks of references, carrying the running total
+            # into each chunk's first operand (``a + b == b + a`` exactly).
+            total = 0.0
+            for start in range(0, class_ids.shape[0], _ENERGY_CHUNK):
+                flat = matrix[class_ids[start:start + _ENERGY_CHUNK]].ravel()
+                flat[0] += total
+                _np.add.accumulate(flat, out=flat)
+                total = float(flat[-1])
+            setattr(real_totals, fieldname, total)
+        real_totals.accesses = int(class_ids.shape[0])
 
 
-def engine_available() -> bool:
-    """True when the fast engine can run (numpy importable)."""
-    return _np is not None
+def count_classes(class_ids: "_np.ndarray", size: int
+                  ) -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """``(counts per class, present class ids)`` of a class-id array."""
+    counts = _np.bincount(class_ids, minlength=size)
+    return counts, _np.flatnonzero(counts)
 
+
+# ---------------------------------------------------------------------------
+# The multi-design reference pass
+# ---------------------------------------------------------------------------
 
 def run_reference_pass_fast(
     references: Iterable[Tuple[int, AccessKind]],
@@ -156,400 +693,53 @@ def run_reference_pass_fast(
     interpreter would, byte for byte.  Raises ``RuntimeError`` when numpy
     is unavailable — callers should fall back to ``engine="interp"``.
     """
-    if _np is None:
-        raise RuntimeError(
-            "the fast reference-pass engine requires numpy; "
-            "use engine='interp' on numpy-free installs"
-        )
+    _require_numpy()
     # Imported here: simulate imports this module lazily on dispatch.
-    from repro.simulate import DesignPassResult, ReferencePassResult
+    from repro.simulate import (
+        DesignPassResult,
+        ReferencePassResult,
+        _AccessTelemetry,
+    )
 
     registry = get_registry()
     profiler = get_profiler()
     pass_started = time.perf_counter() if profiler.enabled else 0.0
 
-    # ------------------------------------------------------- Phase A: record
-    hierarchy = CacheHierarchy(hierarchy_config)
-    num_tiers = hierarchy.num_tiers
-    tracked: List[Tuple[int, Cache]] = [
-        (tier, cache) for tier, cache in hierarchy.all_caches() if tier >= 2
-    ]
-    num_tracked = len(tracked)
-    granule = hierarchy.config.mnm_granule
-    granule_shift = log2_exact(granule)
-    fanouts = [cache.config.block_size // granule for _tier, cache in tracked]
-
-    current = [-1]  # measured ordinal of the in-flight access; -1 = warmup
-    warmup_events: List[Tuple[int, bool, int]] = []
-    events: List[Tuple[int, int, bool, int]] = []
-
-    def _recording_listener(cache_index: int, is_place: bool):
-        def listener(_cache: Cache, block: int) -> None:
-            ordinal = current[0]
-            if ordinal < 0:
-                warmup_events.append((cache_index, is_place, block))
-            else:
-                events.append((ordinal, cache_index, is_place, block))
-
-        return listener
-
-    for cache_index, (_tier, cache) in enumerate(tracked):
-        cache.add_place_listener(_recording_listener(cache_index, True))
-        cache.add_replace_listener(_recording_listener(cache_index, False))
-
-    kind_members = list(AccessKind)
-    code_of = {kind: code for code, kind in enumerate(kind_members)}
-    addrs: List[int] = []
-    kind_codes: List[int] = []
-    sup_codes: List[int] = []
-    access = hierarchy.access
-    seen = 0
-    count = 0
-    for address, kind in references:
-        seen += 1
-        if seen <= warmup:
-            access(address, kind)
-            if seen == warmup:
-                hierarchy.reset_stats()
-            continue
-        current[0] = count
-        count += 1
-        outcome = access(address, kind)
-        addrs.append(address)
-        kind_codes.append(code_of[kind])
-        supplier = outcome.supplier
-        sup_codes.append(0 if supplier is None else supplier)
-
-    if count == 0:
+    recording = record(references, hierarchy_config, warmup=warmup)
+    n = recording.count
+    if n == 0:
         raise ValueError(
             f"reference pass for {workload_name or hierarchy_config.name!r} "
             f"measured nothing: warmup={warmup} consumed the entire "
-            f"reference stream ({seen} references)"
+            f"reference stream ({recording.seen} references)"
         )
-
-    n = count
-    addr_arr = _np.fromiter(addrs, dtype=_np.int64, count=n)
-    granules = addr_arr >> granule_shift
-    kinds_arr = _np.fromiter(kind_codes, dtype=_np.int64, count=n)
-    sup_arr = _np.fromiter(sup_codes, dtype=_np.int64, count=n)
-    del addrs, kind_codes, sup_codes
-
-    # Rows each tracked cache serves: None means every reference (unified
-    # caches); split tiers get the row indices of the kinds they serve.
-    rows_list: List[Optional["_np.ndarray"]] = []
-    granules_list: List["_np.ndarray"] = []
-    for tier, cache in tracked:
-        serving = [kind for kind in kind_members
-                   if hierarchy.cache_for(tier, kind) is cache]
-        if len(serving) == len(kind_members):
-            rows_list.append(None)
-            granules_list.append(granules)
-        else:
-            mask = _np.zeros(n, dtype=bool)
-            for kind in serving:
-                mask |= kinds_arr == code_of[kind]
-            rows = _np.flatnonzero(mask)
-            rows_list.append(rows)
-            granules_list.append(granules[rows])
-
-    # Lazily-materialised Python-int granule lists for the scalar fallback
-    # on short replay segments (numpy round-trips cost more than a handful
-    # of scalar queries).  One per tracked cache plus one global holder.
-    granule_ints_list: List[Optional[list]] = [None] * num_tracked
-    all_granule_ints: List[Optional[list]] = [None]
-
-    # Prepared event lists.  A query at measured reference ``i`` sees state
-    # *before* reference ``i``'s own events (the interpreter queries first,
-    # accesses second), so the query boundary of an event at ordinal ``o``
-    # covers rows with ordinal <= o — ``searchsorted(..., side="right")``.
-    warmup_prepped = [
-        (cache_index, is_place, block * fanouts[cache_index],
-         fanouts[cache_index])
-        for cache_index, is_place, block in warmup_events
-    ]
-    per_cache_events: List[List[Tuple[int, bool, int]]] = [
-        [] for _ in range(num_tracked)
-    ]
-    for ordinal, cache_index, is_place, block in events:
-        per_cache_events[cache_index].append((ordinal, is_place, block))
-    cache_prepped: List[List[Tuple[int, bool, int, int]]] = []
-    for cache_index, cache_events in enumerate(per_cache_events):
-        if not cache_events:
-            cache_prepped.append([])
-            continue
-        rows = rows_list[cache_index]
-        fanout = fanouts[cache_index]
-        ordinals = _np.fromiter((event[0] for event in cache_events),
-                                dtype=_np.int64, count=len(cache_events))
-        if rows is None:
-            bounds = (ordinals + 1).tolist()
-        else:
-            bounds = _np.searchsorted(rows, ordinals, side="right").tolist()
-        cache_prepped.append([
-            (bounds[i], event[1], event[2] * fanout, fanout)
-            for i, event in enumerate(cache_events)
-        ])
-    global_prepped = [
-        (ordinal + 1, cache_index, is_place,
-         block * fanouts[cache_index], fanouts[cache_index])
-        for ordinal, cache_index, is_place, block in events
-    ]
-    del warmup_events, events, per_cache_events
-
-    # --------------------------------------------- shared accounting tables
+    num_tiers = recording.hierarchy.num_tiers
+    accounting = Accounting(recording)
     timing = AccessTimingModel(hierarchy_config)
     energy_model = HierarchyEnergyModel(hierarchy_config)
-    num_kinds = len(kind_members)
-    num_base = num_kinds * (num_tiers + 1)
-    pattern_bits = max(num_tiers - 1, 0)
-    num_classes = num_base << pattern_bits
-    base_ids = kinds_arr * (num_tiers + 1) + sup_arr
-    base_counts = _np.bincount(base_ids, minlength=num_base)
-    base_present = _np.flatnonzero(base_counts)
 
-    outcome_cache: Dict[int, AccessOutcome] = {}
-
-    def _outcome_for(base_id: int) -> AccessOutcome:
-        outcome = outcome_cache.get(base_id)
-        if outcome is None:
-            kind_code, sup_code = divmod(base_id, num_tiers + 1)
-            if sup_code == 0:
-                hits: Tuple[bool, ...] = (False,) * num_tiers
-                supplier = None
-            else:
-                hits = tuple(t == sup_code for t in range(1, num_tiers + 1))
-                supplier = sup_code
-            outcome = AccessOutcome(
-                address=0, kind=kind_members[kind_code],
-                hits=hits, supplier=supplier,
-            )
-            outcome_cache[base_id] = outcome
-        return outcome
-
-    bits_cache: Dict[int, Tuple[bool, ...]] = {}
-
-    def _bits_for(pattern: int) -> Tuple[bool, ...]:
-        bits_tuple = bits_cache.get(pattern)
-        if bits_tuple is None:
-            bits_tuple = (False,) + tuple(
-                bool((pattern >> (tier - 2)) & 1)
-                for tier in range(2, num_tiers + 1)
-            )
-            bits_cache[pattern] = bits_tuple
-        return bits_tuple
-
-    recorder = _RecordingTotals()
-
-    def _energy_programs(accountant: EnergyAccountant,
-                         class_list: "_np.ndarray",
-                         bits_of, outcome_of,
-                         size: int) -> Dict[str, "_np.ndarray"]:
-        """Capture each present class's exact add stream, once per class.
-
-        Returns one ``(size, max_program_len)`` float64 matrix per field,
-        zero-padded — the layout :func:`_replay_energy` folds.
-        """
-        real_totals = accountant.totals
-        programs: Dict[str, List[Tuple[float, ...]]] = {
-            fieldname: [()] * size for fieldname in _FLOAT_FIELDS
-        }
-        accountant.totals = recorder  # type: ignore[assignment]
-        try:
-            for class_id in class_list.tolist():
-                accountant.account(outcome_of(class_id), bits_of(class_id))
-                for fieldname, program in recorder.take().items():
-                    programs[fieldname][class_id] = program
-        finally:
-            accountant.totals = real_totals
-        matrices: Dict[str, "_np.ndarray"] = {}
-        for fieldname, field_programs in programs.items():
-            width = max(map(len, field_programs), default=0)
-            matrix = _np.zeros((size, width), dtype=_np.float64)
-            for class_id, program in enumerate(field_programs):
-                if program:
-                    matrix[class_id, :len(program)] = program
-            matrices[fieldname] = matrix
-        return matrices
-
-    # Baseline: priced per (kind, supplier) class, folded by bincount.
+    # Baseline: priced per (kind, supplier) class.
+    base_ids = accounting.base_ids
+    base_counts, base_present = count_classes(base_ids, accounting.num_base)
+    baseline_access_time = int(base_counts @ accounting.table(
+        base_present, False, timing.latency))
+    baseline_miss_time = int(base_counts @ accounting.table(
+        base_present, False, lambda outcome, _bits: timing.miss_time(outcome)))
     baseline_accountant = EnergyAccountant(energy_model)
-    base_lat = _np.zeros(num_base, dtype=_np.int64)
-    base_miss = _np.zeros(num_base, dtype=_np.int64)
-    for base_id in base_present.tolist():
-        outcome = _outcome_for(base_id)
-        base_lat[base_id] = timing.latency(outcome)
-        base_miss[base_id] = timing.miss_time(outcome)
-    baseline_access_time = int(base_counts @ base_lat)
-    baseline_miss_time = int(base_counts @ base_miss)
-    _replay_energy(
-        baseline_accountant,
-        _energy_programs(baseline_accountant, base_present,
-                         lambda _class_id: None, _outcome_for, num_base),
-        base_ids, n,
-    )
+    accounting.energy(baseline_accountant, base_ids, base_present, False)
 
-    # Telemetry counters (global, shared with the interpreter's names).
-    ref_counter = None
-    query_counters = None
     if registry.enabled:
-        ref_counter = registry.counter("pass.references")
-        query_counters = (registry.counter("mnm.queries"),
-                          registry.counter("mnm.miss_answers"))
-        ref_counter.inc(n)
+        registry.counter("pass.references").inc(n)
 
-    # --------------------------------------------- Phase B: filter replay
-    # Filter state is a pure function of (configuration, event stream), so
-    # identically-configured components on the same cache — which recur
-    # constantly across the paper's design line-up (a TMNM size appears
-    # standalone *and* inside hybrids, placement variants share every
-    # filter) — share one replay.  The cache key includes the type, the
-    # paper-style name (which encodes the geometry) and the storage bits
-    # as a defensive fingerprint of the remaining parameters.
-    warmup_by_cache: List[List[Tuple[bool, int, int]]] = [
-        [] for _ in range(num_tracked)
-    ]
-    for cache_index, is_place, first_granule, fanout in warmup_prepped:
-        warmup_by_cache[cache_index].append((is_place, first_granule, fanout))
-
-    component_answers: Dict[Tuple, "_np.ndarray"] = {}
-    lane_answers: Dict[Tuple, "_np.ndarray"] = {}
-    rmnm_bits: Dict[Tuple[int, int], "_np.ndarray"] = {}
-
-    def _replay_component(cache_index: int, component) -> "_np.ndarray":
-        """Train one filter on warmup, then run the segmented batch replay.
-
-        Between two state-changing events every answer is constant, so the
-        whole segment is one vectorized :meth:`query_many` call; events
-        apply scalar, exactly as the interpreter's listeners would.  Very
-        short segments (miss-heavy streams have many) fall back to the
-        scalar oracle :meth:`is_definite_miss` — the element-wise-agreement
-        contract makes the two paths interchangeable — because a numpy
-        round-trip costs more than a handful of scalar calls.
-        """
-        on_place = component.on_place
-        on_replace = component.on_replace
-        for is_place, first_granule, fanout in warmup_by_cache[cache_index]:
-            target = on_place if is_place else on_replace
-            if fanout == 1:
-                target(first_granule)
-            else:
-                for granule_addr in range(first_granule,
-                                          first_granule + fanout):
-                    target(granule_addr)
-        cache_granules = granules_list[cache_index]
-        granule_ints = granule_ints_list[cache_index]
-        if granule_ints is None:
-            granule_ints = cache_granules.tolist()
-            granule_ints_list[cache_index] = granule_ints
-        rows_served = cache_granules.shape[0]
-        answers = _np.zeros(rows_served, dtype=bool)
-        position = 0
-        query = component.query_many
-        miss = component.is_definite_miss
-        for bound, is_place, first_granule, fanout in (
-                cache_prepped[cache_index]):
-            if bound > position:
-                if bound - position <= _SCALAR_SEGMENT:
-                    for row in range(position, bound):
-                        if miss(granule_ints[row]):
-                            answers[row] = True
-                else:
-                    answers[position:bound] = query(
-                        cache_granules[position:bound])
-                position = bound
-            target = on_place if is_place else on_replace
-            if fanout == 1:
-                target(first_granule)
-            else:
-                for granule_addr in range(
-                        first_granule, first_granule + fanout):
-                    target(granule_addr)
-        if position < rows_served:
-            answers[position:] = query(cache_granules[position:])
-        return answers
-
-    def _replay_rmnm(rmnm) -> "_np.ndarray":
-        """Per-reference replaced-bit words of one shared RMNM geometry.
-
-        The RMNM sees every tracked cache's events in global order (its
-        eviction decisions depend on the interleaving), so it replays over
-        the global stream once; lanes then extract their bit vectorially.
-        """
-        for cache_index, is_place, first_granule, fanout in warmup_prepped:
-            record = rmnm.record_place if is_place else rmnm.record_replace
-            if fanout == 1:
-                record(first_granule, cache_index)
-            else:
-                for granule_addr in range(first_granule,
-                                          first_granule + fanout):
-                    record(granule_addr, cache_index)
-        replaced = _np.empty(n, dtype=_np.int64)
-        position = 0
-        record_place = rmnm.record_place
-        record_replace = rmnm.record_replace
-        bits_many = rmnm.replaced_bits_many
-        bits_of = rmnm.replaced_bits_of
-        all_ints = all_granule_ints[0]
-        if all_ints is None:
-            all_ints = granules.tolist()
-            all_granule_ints[0] = all_ints
-        for bound, cache_index, is_place, first_granule, fanout in (
-                global_prepped):
-            if bound > position:
-                if bound - position <= _SCALAR_SEGMENT:
-                    for row in range(position, bound):
-                        replaced[row] = bits_of(all_ints[row])
-                else:
-                    replaced[position:bound] = bits_many(
-                        granules[position:bound])
-                position = bound
-            record = record_place if is_place else record_replace
-            if fanout == 1:
-                record(first_granule, cache_index)
-            else:
-                for granule_addr in range(
-                        first_granule, first_granule + fanout):
-                    record(granule_addr, cache_index)
-        if position < n:
-            replaced[position:] = bits_many(granules[position:])
-        return replaced
-
-    def _lane_answers(rmnm, cache_index: int, lane: int) -> "_np.ndarray":
-        geometry = (rmnm.num_blocks, rmnm.associativity)
-        key = (geometry, cache_index, lane)
-        answers = lane_answers.get(key)
-        if answers is None:
-            replaced = rmnm_bits.get(geometry)
-            if replaced is None:
-                replaced = _replay_rmnm(rmnm)
-                rmnm_bits[geometry] = replaced
-            rows = rows_list[cache_index]
-            lane_bits = replaced if rows is None else replaced[rows]
-            answers = (lane_bits >> lane) & 1 != 0
-            lane_answers[key] = answers
-        return answers
-
-    def _component_answers(cache_index: int, component) -> "_np.ndarray":
-        if isinstance(component, RMNMLane):
-            return _lane_answers(component.shared, cache_index,
-                                 component.lane)
-        key = (cache_index, type(component).__name__, component.name,
-               component.storage_bits)
-        answers = component_answers.get(key)
-        if answers is None:
-            answers = _replay_component(cache_index, component)
-            component_answers[key] = answers
-        return answers
-
-    # ------------------------------------------- Phase B+C: per-design loop
-    # One host hierarchy serves every design: it is never accessed (it only
-    # gives each machine caches to attach to — the filters see the recorded
-    # event stream instead), so the listeners the machines register on it
-    # never fire and designs cannot interfere through it.
-    host = CacheHierarchy(hierarchy_config)
+    # The walked hierarchy hosts every design's machine: it is never
+    # accessed again (it only gives each machine caches to attach to — the
+    # filters see the recorded event stream instead), so the listeners the
+    # machines register on it never fire and designs cannot interfere
+    # through it.
+    replay = Replay(recording)
     results: Dict[str, DesignPassResult] = {}
     for design in designs:
-        machine = MostlyNoMachine(host, design)
+        machine = MostlyNoMachine(recording.hierarchy, design)
         meter = CoverageMeter(num_tiers)
         accountant = EnergyAccountant(
             energy_model,
@@ -564,73 +754,18 @@ def run_reference_pass_fast(
             mnm_delay=design.delay,
             mnm_free=design.perfect,
         )
-
-        # Per-cache answers: OR of the (cached) per-component replays.
-        # The bit matrix and FilterStats mirror the interpreter exactly.
-        bits_matrix = _np.zeros((n, num_tiers), dtype=bool)
-        for cache_index, (tier, cache) in enumerate(tracked):
-            filter_ = machine.filter_for(cache.config.name)
-            components = (filter_.components
-                          if isinstance(filter_, CompositeFilter)
-                          else (filter_,))
-            answers: Optional["_np.ndarray"] = None
-            for component in components:
-                part = _component_answers(cache_index, component)
-                answers = part if answers is None else answers | part
-            if answers is None:  # pragma: no cover - composites are never empty
-                answers = _np.zeros(granules_list[cache_index].shape[0],
-                                    dtype=bool)
-            stats = machine.stats_for(cache.config.name)
-            stats.lookups += answers.shape[0]
-            stats.miss_answers += int(answers.sum())
-            rows = rows_list[cache_index]
-            if rows is None:
-                bits_matrix[:, tier - 1] = answers
-            else:
-                bits_matrix[rows, tier - 1] = answers
-        if query_counters is not None:
-            query_counters[0].inc(n)
-            query_counters[1].inc(int(bits_matrix.any(axis=1).sum()))
-
-        # Phase C: equivalence classes over (kind, supplier, bit pattern).
-        pattern = _np.zeros(n, dtype=_np.int64)
-        for tier in range(2, num_tiers + 1):
-            pattern |= bits_matrix[:, tier - 1].astype(_np.int64) << (tier - 2)
-        class_ids = (base_ids << pattern_bits) | pattern
-        counts = _np.bincount(class_ids, minlength=num_classes)
-        present = _np.flatnonzero(counts)
-
-        latencies = _np.zeros(num_classes, dtype=_np.int64)
-        candidates = [0] * num_tiers
-        bypassed = [0] * num_tiers
-        pattern_mask = (1 << pattern_bits) - 1
-        for class_id in present.tolist():
-            class_count = int(counts[class_id])
-            outcome = _outcome_for(class_id >> pattern_bits)
-            class_bits = _bits_for(class_id & pattern_mask)
-            meter.record_many(outcome, class_bits, class_count)
-            latencies[class_id] = design_timing.latency(outcome, class_bits)
-            for tier in range(2, outcome.tiers_missed + 1):
-                candidates[tier - 1] += class_count
-                if class_bits[tier - 1]:
-                    bypassed[tier - 1] += class_count
-        access_time = int(counts @ latencies)
-        _replay_energy(
-            accountant,
-            _energy_programs(
-                accountant, present,
-                lambda class_id: _bits_for(class_id & pattern_mask),
-                lambda class_id: _outcome_for(class_id >> pattern_bits),
-                num_classes),
-            class_ids, n,
-        )
-        if registry.enabled:
-            prefix = f"mnm.{design.name}"
-            for tier in range(2, num_tiers + 1):
-                registry.counter(
-                    f"{prefix}.candidates.l{tier}").inc(candidates[tier - 1])
-                registry.counter(
-                    f"{prefix}.bypass.l{tier}").inc(bypassed[tier - 1])
+        class_ids = accounting.class_ids(replay.bits(machine))
+        counts, present = count_classes(class_ids,
+                                        accounting.num_classes(True))
+        latency_of = accounting.table(present, True, design_timing.latency)
+        telemetry = (_AccessTelemetry(registry, design.name, num_tiers,
+                                      with_access_instruments=False)
+                     if registry.enabled else None)
+        accounting.fold(counts, present, True, latency_of, meter, telemetry)
+        access_time = int(counts @ latency_of)
+        accounting.energy(accountant, class_ids, present, True)
+        if telemetry is not None:
+            telemetry.flush()
 
         results[design.name] = DesignPassResult(
             design_name=design.name,
@@ -642,17 +777,17 @@ def run_reference_pass_fast(
 
     cache_stats = {
         cache.config.name: (cache.stats.probes, cache.stats.hits)
-        for _, cache in hierarchy.all_caches()
+        for _, cache in recording.hierarchy.all_caches()
     }
     if registry.enabled:
-        hierarchy.export_stats(registry)
+        recording.hierarchy.export_stats(registry)
     if profiler.enabled:
         profiler.add("reference_pass", time.perf_counter() - pass_started,
-                     units=count, unit_name="references")
+                     units=n, unit_name="references")
     return ReferencePassResult(
         workload=workload_name,
         hierarchy_name=hierarchy_config.name,
-        references=count,
+        references=n,
         baseline_access_time=baseline_access_time,
         baseline_miss_time=baseline_miss_time,
         baseline_energy=baseline_accountant.totals,

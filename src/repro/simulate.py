@@ -26,7 +26,13 @@ from repro.cache.hierarchy import AccessOutcome, CacheHierarchy, HierarchyConfig
 from repro.core.base import Placement
 from repro.core.machine import MNMDesign, MostlyNoMachine
 from repro.cpu.branch import BranchPredictor
-from repro.cpu.core import CoreConfig, CoreResult, OutOfOrderCore, paper_core
+from repro.cpu.core import (
+    CoreConfig,
+    CoreResult,
+    OutOfOrderCore,
+    core_references,
+    paper_core,
+)
 from repro.cpu.memory import MemorySystem
 from repro.power.energy import EnergyAccountant, EnergyTotals, HierarchyEnergyModel
 from repro.power.mnm_power import (
@@ -80,16 +86,21 @@ class _AccessTelemetry:
                bits: Optional[Sequence[bool]],
                latency: Optional[int] = None) -> None:
         """Fold one (outcome, bits, latency) triple into the buffer."""
-        self.accesses += 1
+        self.record_many(outcome, bits, 1, latency)
+
+    def record_many(self, outcome: AccessOutcome,
+                    bits: Optional[Sequence[bool]], count: int,
+                    latency: Optional[int] = None) -> None:
+        """Fold ``count`` identical triples: ``count`` :meth:`record` calls."""
+        self.accesses += count
         if self.latency is not None and latency is not None:
-            self.latency.observe(latency)
-        missed = outcome.tiers_missed
+            self.latency.observe_many(latency, count)
         candidates = self.candidates
         bypass = self.bypass
-        for tier in range(2, missed + 1):
-            candidates[tier - 1] += 1
+        for tier in range(2, outcome.tiers_missed + 1):
+            candidates[tier - 1] += count
             if bits is not None and bits[tier - 1]:
-                bypass[tier - 1] += 1
+                bypass[tier - 1] += count
 
     def clear(self) -> None:
         """Zero the buffer (the warmup boundary)."""
@@ -210,6 +221,65 @@ class SimulatedMemory(MemorySystem):
             self._telemetry.flush()
 
 
+class ReplayedMemory(MemorySystem):
+    """Memory system that hands the core precomputed latencies in order.
+
+    The fast engine computes a full-system run's memory side first: the
+    latency of every access the core will make, in order
+    (:func:`repro.cpu.core.core_references`).  This replays them.  It
+    raises if the core asks for an ``(address, kind)`` other than the
+    next one derived, if the warm-up boundary falls elsewhere than
+    derived, or (:meth:`finish`) if a latency is left over.
+    """
+
+    def __init__(self, addresses: Sequence[int], kinds: Sequence[int],
+                 kind_of: Sequence[AccessKind], latencies: Sequence[int],
+                 fetch_block_size: int, l1_instruction_latency: int,
+                 boundary: int) -> None:
+        self._addresses = addresses
+        self._kinds = kinds
+        self._kind_of = kind_of
+        self._latencies = latencies
+        self._fetch_block = fetch_block_size
+        self._l1i_latency = l1_instruction_latency
+        self._boundary = boundary
+        self._next = 0
+
+    def access(self, address: int, kind: AccessKind) -> int:
+        index = self._next
+        if (index >= len(self._latencies)
+                or address != self._addresses[index]
+                or kind is not self._kind_of[self._kinds[index]]):
+            raise RuntimeError(
+                f"core access {index} ({address:#x}, {kind!r}) is not the "
+                f"derived reference stream's"
+            )
+        self._next = index + 1
+        return self._latencies[index]
+
+    @property
+    def fetch_block_size(self) -> int:
+        return self._fetch_block
+
+    @property
+    def l1_instruction_latency(self) -> int:
+        return self._l1i_latency
+
+    def end_warmup(self) -> None:
+        """The core's warm-up boundary: it must fall where derived."""
+        if self._next != self._boundary:
+            raise RuntimeError(
+                f"warm-up ended after {self._next} accesses, derived "
+                f"{self._boundary}"
+            )
+
+    def finish(self) -> None:
+        """Raise unless the core consumed every latency."""
+        left = len(self._latencies) - self._next
+        if left:
+            raise RuntimeError(f"{left} derived accesses were never made")
+
+
 def build_memory(
     hierarchy_config: HierarchyConfig,
     design: Optional[MNMDesign] = None,
@@ -217,17 +287,21 @@ def build_memory(
     with_coverage: bool = True,
     writeback: bool = False,
     prefetch_degree: int = 0,
+    hierarchy: Optional[CacheHierarchy] = None,
 ) -> SimulatedMemory:
     """Wire a fresh hierarchy + MNM + meters for one design.
 
     ``design=None`` (or a design with no filters and no RMNM) builds the
     no-MNM baseline.  ``writeback`` enables dirty-victim write-back
     traffic; ``prefetch_degree`` > 0 attaches a tagged next-N-line
-    prefetcher (both off for the paper's experiments).
+    prefetcher (both off for the paper's experiments).  ``hierarchy``
+    wires to an existing hierarchy of ``hierarchy_config`` instead of a
+    fresh one (``writeback`` is then the hierarchy's own).
     """
     from repro.cache.prefetch import NextLinePrefetcher
 
-    hierarchy = CacheHierarchy(hierarchy_config, writeback=writeback)
+    if hierarchy is None:
+        hierarchy = CacheHierarchy(hierarchy_config, writeback=writeback)
     prefetcher = (
         NextLinePrefetcher(hierarchy, degree=prefetch_degree)
         if prefetch_degree > 0
@@ -300,6 +374,27 @@ class WorkloadRun:
         return hits / probes if probes else 0.0
 
 
+def _check_engine(engine: str) -> None:
+    if engine not in ("interp", "fast"):
+        raise ValueError(
+            f"unknown engine {engine!r} (expected 'interp' or 'fast')"
+        )
+
+
+def _use_kernel(engine: str) -> bool:
+    """True when ``engine`` resolves to the fast kernel.
+
+    The decision tracer forces the interpreter (only it emits per-access
+    records), and so does a numpy-free install; both are safe because
+    the engines agree on every reported number.
+    """
+    if engine != "fast" or get_tracer().enabled:
+        return False
+    from repro.kernel import engine_available
+
+    return engine_available()
+
+
 def run_core_trace(
     trace: Trace,
     hierarchy_config: HierarchyConfig,
@@ -307,22 +402,42 @@ def run_core_trace(
     core_config: Optional[CoreConfig] = None,
     predictor: Optional[BranchPredictor] = None,
     warmup: int = 0,
+    engine: str = "fast",
 ) -> WorkloadRun:
     """Run the out-of-order core over a trace with one MNM design.
 
     ``warmup`` instructions train caches/filters/predictors but are
     excluded from every reported number (the paper's SimPoint-style
     fast-forward, scaled down).
+
+    ``engine`` picks how the memory side is computed, with the same
+    values and fallbacks as :func:`run_reference_pass`.  ``"interp"``
+    runs the core against :class:`SimulatedMemory`, which queries, walks
+    and prices each access as the core makes it: the oracle.  ``"fast"``
+    relies on the core making its accesses in program order whatever
+    the timing, so each access's latency, energy and coverage depend
+    only on (trace, hierarchy, design): the kernel records, replays and
+    accounts the core's reference stream in batch
+    (:func:`_kernel_memory`), then the unchanged core runs against
+    :class:`ReplayedMemory`.  Both return identical results.
     """
+    _check_engine(engine)
     if core_config is None:
         core_config = paper_core(8)
     profiler = get_profiler()
     started = time.perf_counter() if profiler.enabled else 0.0
-    memory = build_memory(hierarchy_config, design)
-    core = OutOfOrderCore(core_config, memory, predictor)
-    result = core.run(
-        trace.instructions, warmup=warmup, on_warmup_end=memory.reset_meters
-    )
+    if _use_kernel(engine):
+        memory, replayed = _kernel_memory(trace, hierarchy_config, design,
+                                          warmup)
+        core = OutOfOrderCore(core_config, replayed, predictor)
+        result = core.run(trace.instructions, warmup=warmup,
+                          on_warmup_end=replayed.end_warmup)
+        replayed.finish()
+    else:
+        memory = build_memory(hierarchy_config, design)
+        core = OutOfOrderCore(core_config, memory, predictor)
+        result = core.run(trace.instructions, warmup=warmup,
+                          on_warmup_end=memory.reset_meters)
     stats = {
         cache.config.name: (cache.stats.probes, cache.stats.hits)
         for _, cache in memory.hierarchy.all_caches()
@@ -344,6 +459,62 @@ def run_core_trace(
         energy=memory.accountant.totals if memory.accountant else None,
         cache_stats=stats,
     )
+
+
+def _kernel_memory(
+    trace: Trace,
+    hierarchy_config: HierarchyConfig,
+    design: Optional[MNMDesign],
+    warmup: int,
+) -> Tuple[SimulatedMemory, ReplayedMemory]:
+    """A full-system run's memory side, computed by the kernel in batch.
+
+    Records the core's reference stream, then wires the design's machine,
+    timing model, accountant, coverage meter and telemetry buffer exactly
+    as :func:`build_memory` does for the interpreter, onto the walked
+    hierarchy (which is never accessed again, so the machine's own
+    listeners never fire; its filters learn from the replayed events).
+    Queries start at reference 0, because warm-up latencies steer the
+    core's timing; coverage, energy, telemetry and cache statistics count
+    from the warm-up boundary, the first access of instruction
+    ``warmup``.  Returns the filled-in memory and the core's replay.
+    """
+    from repro.kernel.engine import (
+        KINDS,
+        Accounting,
+        Replay,
+        count_classes,
+        record,
+    )
+
+    instructions = trace.instructions
+    level_one = hierarchy_config.tiers[0]
+    fetch_block = (level_one.unified or level_one.instruction).block_size
+    boundary = 0
+    if 0 < warmup < len(instructions):
+        boundary = sum(1 for _ in core_references(instructions[:warmup],
+                                                  fetch_block))
+    recording = record(core_references(instructions, fetch_block),
+                       hierarchy_config, reset_at=boundary)
+    memory = build_memory(hierarchy_config, design,
+                          hierarchy=recording.hierarchy)
+    with_bits = memory.mnm is not None
+    bits = Replay(recording).bits(memory.mnm) if with_bits else None
+    accounting = Accounting(recording)
+    class_ids = accounting.class_ids(bits)
+    size = accounting.num_classes(with_bits)
+    _counts, present = count_classes(class_ids, size)
+    latency_of = accounting.table(present, with_bits, memory.timing.latency)
+    measured = class_ids[boundary:]
+    counts, present = count_classes(measured, size)
+    accounting.fold(counts, present, with_bits, latency_of, memory.coverage,
+                    memory._telemetry)
+    accounting.energy(memory.accountant, measured, present, with_bits)
+    replayed = ReplayedMemory(
+        recording.addresses, recording.kinds, KINDS,
+        memoryview(latency_of[class_ids]), fetch_block,
+        memory.l1_instruction_latency, boundary)
+    return memory, replayed
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +573,7 @@ def run_reference_pass(
     designs: Sequence[MNMDesign],
     workload_name: str = "",
     warmup: int = 0,
-    engine: str = "interp",
+    engine: str = "fast",
 ) -> ReferencePassResult:
     """Evaluate many MNM designs against one shared hierarchy simulation.
 
@@ -420,20 +591,16 @@ def run_reference_pass(
     ``"fast"`` likewise falls back to the interpreter (same results,
     just slower).
     """
-    if engine not in ("interp", "fast"):
-        raise ValueError(
-            f"unknown engine {engine!r} (expected 'interp' or 'fast')"
+    _check_engine(engine)
+    if _use_kernel(engine):
+        from repro.kernel import run_reference_pass_fast
+
+        return run_reference_pass_fast(
+            references, hierarchy_config, designs,
+            workload_name=workload_name, warmup=warmup,
         )
     registry = get_registry()
     tracer = get_tracer()
-    if engine == "fast" and not tracer.enabled:
-        from repro.kernel import engine_available, run_reference_pass_fast
-
-        if engine_available():
-            return run_reference_pass_fast(
-                references, hierarchy_config, designs,
-                workload_name=workload_name, warmup=warmup,
-            )
     profiler = get_profiler()
     pass_started = time.perf_counter() if profiler.enabled else 0.0
 
@@ -616,7 +783,7 @@ def run_multicore_pass(
     mc: "MulticoreConfig",
     workload_names: Tuple[str, ...] = (),
     warmup: int = 0,
-    engine: str = "interp",
+    engine: str = "fast",
 ) -> MulticorePassResult:
     """Evaluate many MNM designs against one shared multicore simulation.
 
@@ -637,10 +804,7 @@ def run_multicore_pass(
     from repro.multicore.mnm import MulticoreMNM
     from repro.multicore.schedule import interleave
 
-    if engine not in ("interp", "fast"):
-        raise ValueError(
-            f"unknown engine {engine!r} (expected 'interp' or 'fast')"
-        )
+    _check_engine(engine)
     if not isinstance(mc, MulticoreConfig):
         raise TypeError(f"mc must be a MulticoreConfig, got {type(mc)!r}")
     streams = [list(stream) for stream in per_core_references]

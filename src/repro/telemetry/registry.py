@@ -128,6 +128,16 @@ class Histogram:
         self.total += value
         self.count += 1
 
+    def observe_many(self, value: float, count: int) -> None:
+        """Fold ``count`` observations of the same ``value``.
+
+        Equal to ``count`` :meth:`observe` calls for integer values (the
+        latencies it is used for), whose float sums are exact.
+        """
+        self.counts[bisect_left(self.bounds, value)] += count
+        self.total += value * count
+        self.count += count
+
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (0.0 when empty)."""

@@ -2,12 +2,45 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 
 from repro.cache.cache import AccessKind, CacheConfig, CacheSide
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig, TierConfig
+
+
+#: Wall-clock limit of one test, set-up and teardown included.  The
+#: slowest test takes about 5 s on a 2-vCPU host; a test still running
+#: after this long is hung, and the run exits with every thread's
+#: traceback instead of stalling.
+TEST_TIMEOUT_S = 180.0
+
+_hang_guard_fd = None
+
+
+def pytest_configure(config):
+    # A private copy of stderr: output capture swaps the process's own.
+    global _hang_guard_fd
+    _hang_guard_fd = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    if _hang_guard_fd is not None:
+        os.close(_hang_guard_fd)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True,
+                                      file=_hang_guard_fd)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def small_hierarchy_config(levels: int = 3) -> HierarchyConfig:

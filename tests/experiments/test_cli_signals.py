@@ -82,6 +82,68 @@ class TestControllerSigterm:
         assert manifest["status"] == "interrupted"
 
 
+def child_pids(pid):
+    """PIDs whose parent is ``pid`` (Linux ``/proc`` scan)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "r", encoding="utf-8") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state, ppid, ...
+        fields = stat.rsplit(")", 1)[1].split()
+        if int(fields[1]) == pid:
+            children.append(int(entry))
+    return children
+
+
+def is_running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+class TestPoolSigterm:
+    def test_sigterm_with_two_workers_exits_and_leaves_no_children(
+            self, tmp_path):
+        # --jobs 2 forces the process pool whatever the host's CPU count:
+        # its fork-started workers must not inherit the CLI's
+        # SIGTERM-to-KeyboardInterrupt mapping, or terminating the pool
+        # leaves them running their hung tasks.
+        run_dir = str(tmp_path / "run")
+        proc = spawn(["report", "--skip-heavy", *SMALL, "--jobs", "2",
+                      "--run-dir", run_dir],
+                     env_extra={"REPRO_FAULTS": HANG_SPEC})
+        workers = []
+        try:
+            assert wait_for(lambda: len(child_pids(proc.pid)) >= 2), \
+                proc.communicate(timeout=5)
+            time.sleep(1.0)
+            workers = child_pids(proc.pid)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            # Surviving workers hold the output pipes open: kill them
+            # before draining, so a regression fails instead of hanging.
+            survivors = [pid for pid in workers if is_running(pid)]
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+            _, stderr = proc.communicate()
+        assert proc.returncode == EXIT_INTERRUPTED
+        assert b"interrupted" in stderr
+        assert survivors == []
+
+
 class TestWorkerSigterm:
     def test_sigterm_while_polling_exits_130(self, tmp_path):
         queue_dir = str(tmp_path / "queue")

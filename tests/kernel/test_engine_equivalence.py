@@ -152,3 +152,116 @@ def test_tracer_forces_interpreter(tmp_path):
         telemetry.reset()
     assert records > 0
     assert _snapshot(traced) == _snapshot(baseline)
+
+
+# ---------------------------------------------------------------------------
+# Full-system runs: run_core_trace under both engines
+# ---------------------------------------------------------------------------
+
+#: Families the golden digests' Figure 15 line-up leaves out.
+CORE_DESIGNS = ("SMNM_13x3", "RMNM_512_2", "HMNM1")
+
+
+def _core_run(workload, engine, design_name="HMNM4", hierarchy=None,
+              width=8, warmup=1200):
+    from repro.cpu.core import paper_core
+    from repro.simulate import run_core_trace
+
+    design = parse_design(design_name) if design_name else None
+    return run_core_trace(get_trace(workload, 3000, 0),
+                          hierarchy or paper_hierarchy_5level(), design,
+                          core_config=paper_core(width), warmup=warmup,
+                          engine=engine)
+
+
+def _core_snapshot(run):
+    meter = run.coverage
+    return (
+        run.workload, run.design_name, dataclasses.astuple(run.core),
+        None if meter is None else (
+            meter.accesses, meter.violations, meter.candidates,
+            meter.identified,
+            tuple(meter.tier_candidates(tier)
+                  for tier in range(2, meter.num_tiers + 1))),
+        dataclasses.astuple(run.energy), tuple(sorted(run.cache_stats.items())),
+    )
+
+
+@pytest.mark.parametrize("design_name", CORE_DESIGNS)
+def test_core_trace_engines_identical(design_name):
+    for workload in ("mcf", "twolf"):
+        interp = _core_run(workload, "interp", design_name)
+        fast = _core_run(workload, "fast", design_name)
+        assert _core_snapshot(fast) == _core_snapshot(interp)
+
+
+def test_core_trace_engines_identical_on_four_way_core_and_two_levels():
+    for warmup in (0, 1500, 3000, 4000):
+        interp = _core_run("art", "interp", "TMNM_10x1",
+                           paper_hierarchy_2level(), width=4, warmup=warmup)
+        fast = _core_run("art", "fast", "TMNM_10x1",
+                         paper_hierarchy_2level(), width=4, warmup=warmup)
+        assert _core_snapshot(fast) == _core_snapshot(interp)
+
+
+def test_core_trace_engines_emit_identical_metrics_and_profile():
+    """memory.*, mnm.* (warm-up queries included), core.* and cache.*
+    match, as do the profiler's phases apart from wall-clock seconds."""
+    snapshots = {}
+    for engine in ("interp", "fast"):
+        try:
+            telemetry.enable_metrics()
+            profiler = telemetry.enable_profiling()
+            for design_name in (None, "HMNM4", "PERFECT"):
+                _core_run("gcc", engine, design_name)
+            profile = {name: {key: value for key, value in phase.items()
+                              if key not in ("seconds", "per_sec")}
+                       for name, phase in profiler.snapshot().items()}
+            snapshots[engine] = (telemetry.get_registry().snapshot(), profile)
+        finally:
+            telemetry.reset()
+    assert snapshots["fast"] == snapshots["interp"]
+    counters = snapshots["fast"][0]["counters"]
+    assert counters["mnm.queries"] > counters["memory.accesses"] > 0
+
+
+def test_core_trace_tracer_forces_interpreter(tmp_path):
+    baseline = _core_run("vpr", "interp")
+    try:
+        telemetry.enable_tracing(str(tmp_path / "trace.jsonl"))
+        traced = _core_run("vpr", "fast")
+        records = telemetry.get_tracer().emitted
+    finally:
+        telemetry.reset()
+    assert records > 0
+    assert _core_snapshot(traced) == _core_snapshot(baseline)
+
+
+def test_core_trace_unknown_engine_rejected():
+    with pytest.raises(ValueError, match="unknown engine"):
+        _core_run("gcc", "turbo")
+
+
+def test_replayed_memory_rejects_a_diverging_core():
+    from repro.cache.cache import AccessKind
+    from repro.kernel.engine import KINDS
+    from repro.simulate import ReplayedMemory
+
+    def replayed():
+        return ReplayedMemory([0x100, 0x2000], [0, 1], KINDS, [1, 7],
+                              fetch_block_size=32, l1_instruction_latency=1,
+                              boundary=1)
+
+    memory = replayed()
+    assert memory.access(0x100, AccessKind.INSTRUCTION) == 1
+    memory.end_warmup()
+    assert memory.access(0x2000, AccessKind.LOAD) == 7
+    memory.finish()
+    with pytest.raises(RuntimeError, match="derived reference stream"):
+        memory.access(0x2000, AccessKind.LOAD)
+    with pytest.raises(RuntimeError, match="derived reference stream"):
+        replayed().access(0x100, AccessKind.LOAD)
+    with pytest.raises(RuntimeError, match="warm-up ended"):
+        replayed().end_warmup()
+    with pytest.raises(RuntimeError, match="never made"):
+        replayed().finish()
