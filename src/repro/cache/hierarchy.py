@@ -300,13 +300,8 @@ class CacheHierarchy:
         the block); the block is then filled into every missing tier on the
         way back, firing place/replace events that the MNM observes.
         """
-        if kind is AccessKind.INSTRUCTION:
-            route = self._instruction_route
-        elif kind is AccessKind.LOAD or kind is AccessKind.STORE:
-            route = self._data_route
-        else:  # not an AccessKind: resolve (or fail) per tier, as ever
-            route = tuple(self.cache_for(tier, kind)
-                          for tier in range(1, self.num_tiers + 1))
+        route = (self._instruction_route if kind is AccessKind.INSTRUCTION
+                 else self._data_route)
         write = kind is AccessKind.STORE
         supplier: Optional[int] = MEMORY_TIER
         tier = 0

@@ -12,9 +12,10 @@ which guarantees a reader never observes a torn file:
   queue result commitment) where concurrent writers carry identical
   payloads and the first fully-written one should stick; returns
   whether *this* writer won, so callers can count races.
-* :func:`create_exclusive` — ``O_CREAT | O_EXCL``: exclusive claim.
+* :func:`create_exclusive` — temp file + ``os.link``: exclusive claim.
   For mutual exclusion by filename (queue lease claims) where exactly
-  one contender may ever succeed.
+  one contender may ever succeed, and the name must never be visible
+  before its content is.
 
 This module is deliberately the **only** place those syscall sequences
 are spelled out: R009 (:mod:`repro.staticcheck.rules.atomicity`) flags
@@ -110,13 +111,13 @@ def create_exclusive(path: str, data: bytes, fsync: bool = True) -> bool:
 
     Returns True when this call created the file, False when a
     contender already holds the name.  The bytes are written to a temp
-    file first and hard-linked into place, so a contender that loses
-    the race never reads a claimed-but-empty file (and takes it for an
-    abandoned one).  Without hard links the claim falls back to
-    ``O_CREAT | O_EXCL`` with the write on the claimed descriptor, where
-    a crash mid-write leaves a claimed-but-short file — callers that
-    need torn-claim detection (the queue) already quarantine on
-    read-back.
+    file first and hard-linked into place, so the name never exists
+    without its whole content: a contender that loses the race never
+    reads a claimed-but-empty file (and takes it for an abandoned one).
+    There is deliberately no fallback for filesystems without hard
+    links: any other ``os.link`` failure propagates, because every
+    weaker claim (``O_CREAT | O_EXCL`` then write) reopens exactly that
+    race and lets two contenders win.
     """
     tmp_path = _temp_path(path)
     try:
@@ -125,20 +126,6 @@ def create_exclusive(path: str, data: bytes, fsync: bool = True) -> bool:
             os.link(tmp_path, path)
         except FileExistsError:
             return False
-        except OSError:
-            pass  # no hard links here: claim with O_EXCL below
-        else:
-            return True
+        return True
     finally:
         _discard(tmp_path)
-    try:
-        descriptor = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                             0o644)
-    except FileExistsError:
-        return False
-    with os.fdopen(descriptor, "wb") as handle:
-        handle.write(data)
-        if fsync:
-            handle.flush()
-            os.fsync(handle.fileno())
-    return True

@@ -129,13 +129,12 @@ def _default_sigterm() -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
-def terminate_pool(pool: ProcessPoolExecutor,
-                   grace: float = TERMINATE_GRACE_S) -> None:
+def terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Abandon a pool that may contain hung or dead workers.
 
     ``shutdown(wait=True)`` would block forever on a hung worker, so the
     teardown cancels queued work and terminates any process still alive,
-    then kills whatever has not exited within ``grace`` seconds.
+    then kills whatever has not exited within :data:`TERMINATE_GRACE_S`.
     (``_processes`` is private API, hence the defensive ``getattr`` — a
     missing attribute degrades to plain shutdown, never to a crash.)
     """
@@ -147,13 +146,13 @@ def terminate_pool(pool: ProcessPoolExecutor,
                 process.terminate()
         except OSError:
             pass
-    deadline = time.monotonic() + grace
+    deadline = time.monotonic() + TERMINATE_GRACE_S
     for process in processes:
         try:
             process.join(max(deadline - time.monotonic(), 0.0))
             if process.is_alive():
                 process.kill()
-                process.join(grace)
+                process.join(TERMINATE_GRACE_S)
         except OSError:
             pass
 

@@ -5,8 +5,8 @@ picklable task specs into a queue directory, and any number of
 independent ``repro-mnm worker`` processes — on this host or on any
 host sharing the filesystem — claim, execute and commit them.  No
 daemon, no sockets, no third-party broker: every coordination primitive
-is a POSIX filesystem guarantee (``O_CREAT|O_EXCL`` creation,
-``os.replace`` atomicity, ``os.link`` first-writer-wins).
+is a POSIX filesystem guarantee (``os.link`` exclusive creation and
+first-writer-wins, ``os.replace`` atomicity).
 
 Layout::
 
@@ -21,9 +21,10 @@ Layout::
 Failure model — every rule exists so a fleet with crashing, hanging or
 duplicated workers still converges to the serial run's exact bytes:
 
-* **claim atomicity** — a fresh claim is ``O_CREAT|O_EXCL`` on the lease
-  file: the filesystem picks exactly one winner among concurrent
-  claimers.
+* **claim atomicity** — a fresh claim writes the lease to a temp file
+  and hard-links it into place: the filesystem picks exactly one winner
+  among concurrent claimers, and no loser ever sees a half-written
+  lease.
 * **leases expire** — a claim carries a wall-clock deadline, renewed by
   the worker's heartbeat thread.  A worker that is SIGKILLed, hangs, or
   stalls its renewals simply stops renewing; once the deadline lapses
@@ -342,8 +343,8 @@ class WorkQueue:
               ttl: Optional[float] = None) -> Optional[Lease]:
         """Try to acquire the lease on ``digest``; None when lost.
 
-        Fresh claims race through ``O_CREAT|O_EXCL`` — the filesystem
-        picks one winner.  An *expired* (or unreadable) lease is taken
+        Fresh claims race to hard-link a fully written lease into place
+        — the filesystem picks one winner.  An *expired* (or unreadable) lease is taken
         over with an atomic rewrite followed by a read-back: whoever's
         nonce survives owns the task.  The attempt number continues from
         the superseded lease and any recorded failed attempts, so

@@ -1,9 +1,8 @@
 """R009 — filesystem atomicity: durable state goes through blessed helpers.
 
 The crash-safety story (PR 3/8) rests on a small set of write idioms:
-temp-file + ``os.replace`` (atomic replace), ``O_CREAT | O_EXCL``
-(exclusive claim), and temp-file + ``os.link`` (first-writer-wins
-publication).  Those idioms now live in one place —
+temp-file + ``os.replace`` (atomic replace), and temp-file +
+``os.link`` (exclusive claim and first-writer-wins publication).  Those idioms now live in one place —
 :mod:`repro.experiments.atomic` — and R009 keeps them there: inside the
 modules that own durable state (the pass cache, the run journal, the
 work-queue backends, the run manifest), a raw ``open(..., "w")`` is a
@@ -124,7 +123,7 @@ class AtomicityRule(Rule):
             module, node,
             f"os.open with {'|'.join(written)} opens for writing outside "
             "the blessed helpers (atomic.create_exclusive owns the "
-            "O_CREAT|O_EXCL claim idiom)",
+            "exclusive-claim idiom)",
             requires_rationale=True)
 
 

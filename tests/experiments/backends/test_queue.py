@@ -10,7 +10,9 @@ The contracts under test, in roughly the order a fleet relies on them:
 4. torn files (tasks, results) quarantine instead of being trusted.
 """
 
+import errno
 import json
+import os
 import threading
 
 import pytest
@@ -171,6 +173,24 @@ class TestClaims:
             thread.join()
         assert len(wins) == 1
         assert wins[0].attempt == 1
+
+    def test_claim_without_hard_links_fails_loudly(self, tmp_path,
+                                                   monkeypatch):
+        # A filesystem that refuses hard links must not degrade to a
+        # weaker claim that could let two claimers win: the claim raises,
+        # and leaves neither a lease nor a temp file behind.
+        queue = make_queue(tmp_path)
+
+        def refuse(src, dst):
+            raise PermissionError(errno.EPERM, "hard links not supported")
+
+        monkeypatch.setattr(os, "link", refuse)
+        with pytest.raises(PermissionError):
+            queue.claim("d" * 16, "alpha", ttl=30.0)
+        leases = os.path.dirname(queue.lease_path("d" * 16))
+        assert os.listdir(leases) == []
+        monkeypatch.undo()
+        assert queue.claim("d" * 16, "beta", ttl=30.0) is not None
 
     def test_live_lease_cannot_be_claimed(self, tmp_path):
         queue = make_queue(tmp_path)
