@@ -8,13 +8,20 @@ from __future__ import annotations
 
 import pytest
 
-from tests.golden.make_digests import compute, load
+from tests.golden.make_digests import compute, compute_cpu, load
+
+
+def assert_match(golden, digests):
+    assert digests.keys() == golden.keys()
+    differing = sorted(key for key in golden if digests[key] != golden[key])
+    assert differing == []
 
 
 @pytest.mark.parametrize("engine", ["interp", "fast"])
 def test_golden_digests(engine):
-    golden = load()
-    digests = compute(engine)
-    assert digests.keys() == golden.keys()
-    differing = sorted(key for key in golden if digests[key] != golden[key])
-    assert differing == []
+    assert_match({**load("core/"), **load("pass/")}, compute(engine))
+
+
+def test_cpu_digests():
+    """The core alone; no engine is involved."""
+    assert_match(load("cpu/"), compute_cpu())
