@@ -21,9 +21,13 @@ feasible (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from heapq import heapreplace
+from operator import attrgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from repro.addresses import log2_exact
+import numpy as np
+
+from repro.addresses import ADDRESS_SPACE, log2_exact, validate_address
 from repro.cache.cache import AccessKind
 from repro.cpu.branch import BimodalPredictor, BranchPredictor, PerfectPredictor
 from repro.cpu.isa import NUM_REGISTERS, Instruction, OpClass
@@ -83,9 +87,15 @@ class CoreConfig:
             raise ValueError("ruu_size must be at least the machine width")
         if self.lsq_size < 1:
             raise ValueError(f"lsq_size must be >= 1, got {self.lsq_size}")
+        for name in ("frontend_depth", "mispredict_penalty", "mshr_count"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
         for op in OpClass:
             if self.units.get(op, 0) < 1:
                 raise ValueError(f"need at least one unit for {op.value}")
+            if op is not OpClass.LOAD and op not in self.latencies:
+                raise ValueError(f"need a latency for {op.value}")
 
 
 def paper_core(width: int = 8) -> CoreConfig:
@@ -105,10 +115,37 @@ def paper_core(width: int = 8) -> CoreConfig:
     raise ValueError(f"the paper uses 4- and 8-way cores, got width={width}")
 
 
+class CoreReferences(NamedTuple):
+    """The accesses :meth:`OutOfOrderCore.run` makes, as compact columns."""
+
+    #: Byte address of each access, in the order the core makes them.
+    addresses: np.ndarray
+    #: Each access's kind, as its index in ``tuple(AccessKind)``.
+    kinds: np.ndarray
+    #: Index of the first access of instruction ``warmup``: the number of
+    #: accesses the warm-up makes.
+    boundary: int
+
+
+#: Kind codes of :class:`CoreReferences` (the kernel's ``KINDS`` order).
+_FETCH, _LOAD, _STORE = map(tuple(AccessKind).index, (
+    AccessKind.INSTRUCTION, AccessKind.LOAD, AccessKind.STORE))
+#: Op class codes of the packed op column, keyed by the class's value: an
+#: Enum member's ``_value_`` is a plain attribute, but hashing the member
+#: itself runs Python code, which per instruction is costly.
+_OP_CODES = {op.value: code for code, op in enumerate(OpClass)}
+_LOAD_OP, _STORE_OP, _BRANCH_OP = (
+    _OP_CODES[op.value] for op in (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH))
+_op_value = attrgetter("op._value_")
+_pc = attrgetter("pc")
+_addr = attrgetter("addr")
+
+
 def core_references(
-    instructions: Iterable[Instruction], fetch_block_size: int
-) -> Iterator[Tuple[int, AccessKind]]:
-    """The ``(address, kind)`` accesses :meth:`OutOfOrderCore.run` makes, in order.
+    instructions: Sequence[Instruction], fetch_block_size: int,
+    warmup: int = 0,
+) -> CoreReferences:
+    """The accesses :meth:`OutOfOrderCore.run` makes, in order.
 
     One instruction fetch per change of fetch line, then one load or store
     per memory instruction.  Every branch, taken or not, ends the fetch
@@ -116,21 +153,46 @@ def core_references(
     rule away from :meth:`repro.workloads.trace.Trace.memory_references`,
     the stream of the hierarchy-only figures, which ends a line only at
     *taken* branches and so issues fewer fetches.
+
+    One vectorised pass: the instructions' op class, pc and address are
+    packed into arrays, and one cumulative sum of accesses per instruction
+    places every access and gives the warm-up boundary.  Addresses are
+    validated to the 32-bit address space, as a cache access would.
     """
-    line_shift = log2_exact(fetch_block_size)
-    current_line = -1
-    for inst in instructions:
-        line = inst.pc >> line_shift
-        if line != current_line:
-            current_line = line
-            yield inst.pc, AccessKind.INSTRUCTION
-        op = inst.op
-        if op is OpClass.LOAD:
-            yield inst.addr, AccessKind.LOAD
-        elif op is OpClass.STORE:
-            yield inst.addr, AccessKind.STORE
-        elif op is OpClass.BRANCH:
-            current_line = -1
+    count = len(instructions)
+    ops = np.fromiter(map(_OP_CODES.__getitem__, map(_op_value, instructions)),
+                      np.int8, count)
+    pcs = np.fromiter(map(_pc, instructions), np.int64, count)
+    addrs = np.fromiter(map(_addr, instructions), np.int64, count)
+    is_load = ops == _LOAD_OP
+    is_data = is_load | (ops == _STORE_OP)
+
+    # The core's rule: fetch when the pc's line differs from the previous
+    # instruction's, or from -1 at the start and after a branch.
+    lines = pcs >> log2_exact(fetch_block_size)
+    previous = np.full(count, -1, np.int64)
+    previous[1:] = np.where(ops[:-1] == _BRANCH_OP, -1, lines[:-1])
+    is_fetch = lines != previous
+
+    # ends[i]: accesses made up to and including instruction i's; its
+    # fetch comes first, its load or store last.
+    ends = np.cumsum(is_fetch.astype(np.int64) + is_data)
+    total = int(ends[-1]) if count else 0
+    measured_from = min(max(warmup, 0), count)
+    boundary = int(ends[measured_from - 1]) if measured_from else 0
+
+    wide = np.empty(total, np.int64)
+    kinds = np.empty(total, np.int8)
+    data_at = ends[is_data] - 1
+    wide[data_at] = addrs[is_data]
+    kinds[data_at] = np.where(is_load[is_data], _LOAD, _STORE)
+    fetch_at = (ends - is_data)[is_fetch] - 1
+    wide[fetch_at] = pcs[is_fetch]
+    kinds[fetch_at] = _FETCH
+    outside = (wide < 0) | (wide >= ADDRESS_SPACE)
+    if outside.any():
+        validate_address(int(wide[outside.argmax()]))
+    return CoreReferences(wide.astype(np.uint32), kinds, boundary)
 
 
 @dataclass
@@ -152,27 +214,6 @@ class CoreResult:
     @property
     def mispredict_rate(self) -> float:
         return self.mispredicts / self.branches if self.branches else 0.0
-
-
-class _UnitPool:
-    """Next-free times for one functional-unit class (fully pipelined)."""
-
-    __slots__ = ("free",)
-
-    def __init__(self, count: int) -> None:
-        self.free = [0] * count
-
-    def issue_at(self, ready: int) -> int:
-        free = self.free
-        best = 0
-        best_time = free[0]
-        for index in range(1, len(free)):
-            if free[index] < best_time:
-                best_time = free[index]
-                best = index
-        issue = ready if ready > best_time else best_time
-        free[best] = issue + 1
-        return issue
 
 
 class OutOfOrderCore:
@@ -205,26 +246,45 @@ class OutOfOrderCore:
         """
         config = self.config
         memory = self.memory
+        access = memory.access
         predictor = self.predictor
-        perfect_branches = isinstance(predictor, PerfectPredictor)
+        predict = (None if isinstance(predictor, PerfectPredictor)
+                   else predictor.predict)
+        update = predictor.update
+        FETCH, LOAD_ACCESS, STORE_ACCESS = (
+            AccessKind.INSTRUCTION, AccessKind.LOAD, AccessKind.STORE)
+        LOAD, STORE, BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+        width = config.width
+        frontend_depth = config.frontend_depth
+        mispredict_penalty = config.mispredict_penalty
+        ruu_size = config.ruu_size
+        lsq_size = config.lsq_size
 
         line_shift = log2_exact(memory.fetch_block_size)
         l1i_latency = memory.l1_instruction_latency
         # Loads costlier than this are "misses" for MSHR purposes; use the
         # pipelined L1I latency as the proxy for the L1D hit cost.
         l1d_threshold = l1i_latency
-        mshr_free = [0] * config.mshr_count if config.mshr_count else None
+        # Next-free times of the MSHR slots and of each op class's units,
+        # as heaps.  A slot or unit is only ever chosen by its free time
+        # (units of a class are identical and fully pipelined), so taking
+        # the heap's minimum issues exactly as taking the lowest-numbered
+        # earliest-free one would.
+        mshrs = [0] * config.mshr_count
+        # Per op class, keyed by its value (as _OP_CODES is): its units'
+        # heap and its latency (a load's comes from the memory).
+        op_state = {
+            op.value: ([0] * config.units[op],
+                       None if op is LOAD else config.latencies[op])
+            for op in OpClass
+        }
 
         reg_ready = [0] * NUM_REGISTERS
-        units: Dict[OpClass, _UnitPool] = {
-            op: _UnitPool(config.units[op]) for op in OpClass
-        }
-        latencies = config.latencies
 
         # Ring buffers of commit times for window occupancy.
-        ruu: list = [0] * config.ruu_size
+        ruu: list = [0] * ruu_size
         ruu_head = 0
-        lsq: list = [0] * config.lsq_size
+        lsq: list = [0] * lsq_size
         lsq_head = 0
 
         fetch_cycle = 0
@@ -237,45 +297,46 @@ class OutOfOrderCore:
         committed_this_cycle = 0
 
         count = 0
+        warmup_end = warmup + 1 if warmup else 0
         loads = stores = branches = mispredicts = 0
         warmup_commit = 0
         warmup_fetch_lines = 0
 
-        for inst in instructions:
-            count += 1
-            if count == warmup + 1 and warmup:
+        for count, inst in enumerate(instructions, 1):
+            if count == warmup_end:
                 warmup_commit = last_commit
                 warmup_fetch_lines = fetch_lines
                 loads = stores = branches = mispredicts = 0
                 if on_warmup_end is not None:
                     on_warmup_end()
             op = inst.op
+            pc = inst.pc
 
             # ---------------------------------------------------- fetch
             if redirect > fetch_cycle:
                 fetch_cycle = redirect
                 fetched_this_cycle = 0
-            line = inst.pc >> line_shift
+            line = pc >> line_shift
             if line != current_line:
                 current_line = line
                 fetch_lines += 1
-                latency = memory.access(inst.pc, AccessKind.INSTRUCTION)
-                stall = latency - l1i_latency
+                stall = access(pc, FETCH) - l1i_latency
                 if stall > 0:
                     fetch_cycle += stall
                     fetched_this_cycle = 0
-            if fetched_this_cycle >= config.width:
+            if fetched_this_cycle >= width:
                 fetch_cycle += 1
-                fetched_this_cycle = 0
-            fetched_this_cycle += 1
-            fetch_time = fetch_cycle
+                fetched_this_cycle = 1
+            else:
+                fetched_this_cycle += 1
 
             # ------------------------------------------------- dispatch
-            dispatch = fetch_time + config.frontend_depth
+            dispatch = fetch_cycle + frontend_depth
             window_free = ruu[ruu_head]
             if window_free > dispatch:
                 dispatch = window_free
-            if op is OpClass.LOAD or op is OpClass.STORE:
+            is_memory = op is LOAD or op is STORE
+            if is_memory:
                 lsq_free = lsq[lsq_head]
                 if lsq_free > dispatch:
                     dispatch = lsq_free
@@ -288,40 +349,36 @@ class OutOfOrderCore:
             src2 = inst.src2
             if src2 >= 0 and reg_ready[src2] > ready:
                 ready = reg_ready[src2]
-            issue = units[op].issue_at(ready)
+            units, latency = op_state[op._value_]
+            unit_free = units[0]
+            issue = ready if ready > unit_free else unit_free
+            heapreplace(units, issue + 1)
 
             # ------------------------------------------------- complete
-            if op is OpClass.LOAD:
+            if op is LOAD:
                 loads += 1
-                latency = memory.access(inst.addr, AccessKind.LOAD)
-                if mshr_free is not None and latency > l1d_threshold:
+                latency = access(inst.addr, LOAD_ACCESS)
+                if mshrs and latency > l1d_threshold:
                     # a long-latency load needs a free MSHR slot; the slot
                     # is held until the load returns
-                    best = 0
-                    best_time = mshr_free[0]
-                    for index in range(1, len(mshr_free)):
-                        if mshr_free[index] < best_time:
-                            best_time = mshr_free[index]
-                            best = index
-                    if best_time > issue:
-                        issue = best_time
-                    mshr_free[best] = issue + latency
-                complete = issue + latency
-            elif op is OpClass.STORE:
+                    slot_free = mshrs[0]
+                    if slot_free > issue:
+                        issue = slot_free
+                    heapreplace(mshrs, issue + latency)
+            elif op is STORE:
                 stores += 1
-                memory.access(inst.addr, AccessKind.STORE)
-                complete = issue + latencies[OpClass.STORE]
-            else:
-                complete = issue + latencies[op]
+                access(inst.addr, STORE_ACCESS)
+            complete = issue + latency
 
-            if op is OpClass.BRANCH:
+            if op is BRANCH:
                 branches += 1
-                if not perfect_branches:
-                    predicted = predictor.predict(inst.pc)
-                    predictor.update(inst.pc, inst.taken)
-                    if predicted != inst.taken:
+                if predict is not None:
+                    taken = inst.taken
+                    predicted = predict(pc)
+                    update(pc, taken)
+                    if predicted != taken:
                         mispredicts += 1
-                        new_redirect = complete + config.mispredict_penalty
+                        new_redirect = complete + mispredict_penalty
                         if new_redirect > redirect:
                             redirect = new_redirect
                 # Every branch, taken or not, ends the fetch line (see
@@ -338,18 +395,18 @@ class OutOfOrderCore:
                 committed_this_cycle = 1
             else:
                 committed_this_cycle += 1
-                if committed_this_cycle > config.width:
+                if committed_this_cycle > width:
                     last_commit += 1
                     committed_this_cycle = 1
 
             ruu[ruu_head] = last_commit
             ruu_head += 1
-            if ruu_head == config.ruu_size:
+            if ruu_head == ruu_size:
                 ruu_head = 0
-            if op is OpClass.LOAD or op is OpClass.STORE:
+            if is_memory:
                 lsq[lsq_head] = last_commit
                 lsq_head += 1
-                if lsq_head == config.lsq_size:
+                if lsq_head == lsq_size:
                     lsq_head = 0
 
         return CoreResult(

@@ -408,7 +408,8 @@ def run_core_trace(
 
     ``warmup`` instructions train caches/filters/predictors but are
     excluded from every reported number (the paper's SimPoint-style
-    fast-forward, scaled down).
+    fast-forward, scaled down).  A warm-up that covers the whole trace
+    would measure nothing and raises :class:`ValueError`.
 
     ``engine`` picks how the memory side is computed, with the same
     values and fallbacks as :func:`run_reference_pass`.  ``"interp"``
@@ -422,6 +423,12 @@ def run_core_trace(
     :class:`ReplayedMemory`.  Both return identical results.
     """
     _check_engine(engine)
+    if warmup >= len(trace.instructions):
+        raise ValueError(
+            f"core trace {trace.name!r} measured nothing: warmup={warmup} "
+            f"covers the entire trace ({len(trace.instructions)} "
+            f"instructions)"
+        )
     if core_config is None:
         core_config = paper_core(8)
     profiler = get_profiler()
@@ -487,14 +494,12 @@ def _kernel_memory(
         record,
     )
 
-    instructions = trace.instructions
     level_one = hierarchy_config.tiers[0]
     fetch_block = (level_one.unified or level_one.instruction).block_size
-    boundary = 0
-    if 0 < warmup < len(instructions):
-        boundary = sum(1 for _ in core_references(instructions[:warmup],
-                                                  fetch_block))
-    recording = record(core_references(instructions, fetch_block),
+    addresses, kinds, boundary = core_references(trace.instructions,
+                                                 fetch_block, warmup)
+    addresses, kinds = memoryview(addresses), memoryview(kinds)
+    recording = record(zip(addresses, map(KINDS.__getitem__, kinds)),
                        hierarchy_config, reset_at=boundary)
     memory = build_memory(hierarchy_config, design,
                           hierarchy=recording.hierarchy)
@@ -511,7 +516,7 @@ def _kernel_memory(
                     memory._telemetry)
     accounting.energy(memory.accountant, measured, present, with_bits)
     replayed = ReplayedMemory(
-        recording.addresses, recording.kinds, KINDS,
+        addresses, kinds, KINDS,
         memoryview(latency_of[class_ids]), fetch_block,
         memory.l1_instruction_latency, boundary)
     return memory, replayed

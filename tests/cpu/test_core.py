@@ -1,5 +1,7 @@
 """Tests for the out-of-order core timing model."""
 
+import dataclasses
+
 import pytest
 
 from repro.cpu.branch import PerfectPredictor, StaticTakenPredictor
@@ -40,6 +42,28 @@ class TestPaperCores:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CoreConfig(name="bad", width=0, ruu_size=8, lsq_size=8, units={})
+
+    @pytest.mark.parametrize("name", ["mshr_count", "frontend_depth",
+                                      "mispredict_penalty"])
+    def test_negative_counts_and_delays_rejected(self, name):
+        """Regression: ``mshr_count=-1`` passed, then the first long-latency
+        load raised IndexError; negative delays ran."""
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            dataclasses.replace(paper_core(8), **{name: -1})
+        zero = dataclasses.replace(paper_core(8), **{name: 0})
+        loads = [Instruction(op=OpClass.LOAD, pc=0x1000, dest=8, addr=0x2000)
+                 for _ in range(50)]
+        core = OutOfOrderCore(zero, FixedLatencyMemory(2, 40),
+                              StaticTakenPredictor())
+        assert core.run(loads).loads == 50
+
+    def test_missing_latency_rejected(self):
+        latencies = dict(paper_core(8).latencies)
+        del latencies[OpClass.FMUL]
+        with pytest.raises(ValueError, match="latency for fmul"):
+            dataclasses.replace(paper_core(8), latencies=latencies)
+        # a load's latency comes from the memory, so it needs none
+        assert OpClass.LOAD not in paper_core(8).latencies
 
 
 class TestThroughput:

@@ -18,6 +18,7 @@ from repro.simulate import (
     run_reference_pass,
 )
 from repro.workloads import get_trace
+from repro.workloads.trace import Trace
 from tests.conftest import small_hierarchy_config
 
 CONFIG = small_hierarchy_config(3)
@@ -98,6 +99,22 @@ class TestRunCoreTrace:
                               warmup=len(trace) // 2)
         assert tail.core.instructions < full.core.instructions
         assert tail.cycles < full.cycles
+
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_warmup_covering_the_trace_raises(self, trace, engine):
+        """Regression: a warm-up covering the trace used to report the
+        whole run as measured (``instructions=0`` beside the cycles,
+        events and statistics of every instruction)."""
+        for warmup in (len(trace), len(trace) + 10):
+            with pytest.raises(ValueError, match="warmup"):
+                run_core_trace(trace, CONFIG, hmnm_design(1), warmup=warmup,
+                               engine=engine)
+        empty = Trace(name="empty", seed=0, instructions=[])
+        with pytest.raises(ValueError, match="warmup=0"):
+            run_core_trace(empty, CONFIG, None, engine=engine)
+        last = run_core_trace(trace, CONFIG, None, warmup=len(trace) - 1,
+                              engine=engine)
+        assert last.core.instructions == 1
 
     def test_deterministic(self, trace):
         a = run_core_trace(trace, CONFIG, hmnm_design(2),
