@@ -1,7 +1,7 @@
 """Golden SHA-256 digests of every simulated number, pinned across commits.
 
-Three kinds of result are digested, for mcf, twolf and gcc at 3,000
-instructions, trace seeds 1 and 2718:
+Four kinds of result are digested.  The first three are for mcf, twolf
+and gcc at 3,000 instructions, trace seeds 1 and 2718:
 
 * ``core/<seed>/<app>/<design>`` — :func:`repro.simulate.run_core_trace`
   on the 5-level hierarchy, 40% warm-up, for the no-MNM baseline and
@@ -15,11 +15,23 @@ instructions, trace seeds 1 and 2718:
   40% (:func:`compute_cpu`; engine-independent: no hierarchy is
   simulated).
 
+The fourth is the multicore contention pass, trace seeds 1 and 2718:
+
+* ``mc/<seed>/<hierarchy>/<sharing>/<policy>`` —
+  :func:`repro.simulate.run_multicore_pass` with four cores running gcc,
+  twolf, gcc and twolf at 1,000 instructions each (core *i* on trace seed
+  ``seed + i``), 40% warm-up, the ``MULTICORE_DESIGNS`` plus
+  ``RMNM_512_2`` and ``CMNM_4_10``, for every MNM sharing and L2 policy,
+  on the 3-level preset under the round-robin schedule and on the 5-level
+  preset under the stochastic schedule with schedule seed 3
+  (:func:`compute_multicore`).
+
 Each digest covers every field of the result (floats by ``repr``), so a
 change that moves any simulated count, latency or energy float changes it.
 ``digests.json`` beside this script holds the committed values; the
-tier-1 test ``tests/golden/test_golden.py`` recomputes the ``core`` and
-``pass`` digests under each engine and the ``cpu`` digests once.
+tier-1 test ``tests/golden/test_golden.py`` recomputes the ``core``,
+``pass`` and ``mc`` digests under each engine and the ``cpu`` digests
+once.
 
 Usage::
 
@@ -54,6 +66,13 @@ WARMUP_FRACTION = 0.4
 #: below the MSHR threshold (the instruction latency) and above it.
 CPU_MEMORIES = {"fast-data": (3, 2), "slow-data": (3, 60)}
 CPU_WARMUPS = (0, WARMUP_FRACTION)
+
+#: The ``mc/`` grid: core *i* runs ``MC_APPS[i]``; each hierarchy preset
+#: runs under its own (schedule, schedule seed).
+MC_APPS = ("gcc", "twolf", "gcc", "twolf")
+MC_INSTRUCTIONS = 1000
+MC_HIERARCHIES = (("3level", "round_robin", 0), ("5level", "stochastic", 3))
+MC_EXTRA_DESIGNS = ("RMNM_512_2", "CMNM_4_10")
 
 
 def canonical(value):
@@ -127,6 +146,38 @@ def compute(engine: Optional[str] = None) -> Dict[str, str]:
     return digests
 
 
+def compute_multicore(engine: Optional[str] = None) -> Dict[str, str]:
+    """The ``mc/`` digests, under ``engine`` (None: the library default)."""
+    from repro.cache.presets import hierarchy_preset
+    from repro.core.presets import parse_design
+    from repro.experiments.planning import MULTICORE_DESIGNS
+    from repro.multicore.config import L2_POLICIES, SHARINGS, MulticoreConfig
+    from repro.simulate import run_multicore_pass
+    from repro.workloads import get_trace
+
+    options = {} if engine is None else {"engine": engine}
+    designs = tuple(parse_design(name)
+                    for name in MULTICORE_DESIGNS + MC_EXTRA_DESIGNS)
+    digests: Dict[str, str] = {}
+    for seed, (preset, schedule, schedule_seed) in itertools.product(
+            SEEDS, MC_HIERARCHIES):
+        hierarchy = hierarchy_preset(preset)
+        fetch_block = hierarchy.tiers[0].configs[0].block_size
+        streams = [list(get_trace(app, MC_INSTRUCTIONS, seed + core)
+                        .memory_references(fetch_block))
+                   for core, app in enumerate(MC_APPS)]
+        warmup = int(sum(map(len, streams)) * WARMUP_FRACTION)
+        for sharing, policy in itertools.product(SHARINGS, L2_POLICIES):
+            mc = MulticoreConfig(cores=len(MC_APPS), mnm_sharing=sharing,
+                                 l2_policy=policy, schedule=schedule,
+                                 schedule_seed=schedule_seed)
+            result = run_multicore_pass(streams, hierarchy, designs, mc,
+                                        workload_names=MC_APPS,
+                                        warmup=warmup, **options)
+            digests[f"mc/{seed}/{preset}/{sharing}/{policy}"] = digest(result)
+    return digests
+
+
 def compute_cpu() -> Dict[str, str]:
     """Every ``cpu/`` digest: the core alone over the grid.
 
@@ -183,7 +234,8 @@ def main(argv=None) -> int:
     parser.add_argument("--write", action="store_true",
                         help="rewrite digests.json instead of checking it")
     args = parser.parse_args(argv)
-    digests = {**compute(args.engine), **compute_cpu()}
+    digests = {**compute(args.engine), **compute_multicore(args.engine),
+               **compute_cpu()}
     if args.write:
         with open(DIGESTS_PATH, "w") as handle:
             json.dump(digests, handle, indent=1, sort_keys=True)

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from tests.golden.make_digests import compute, compute_cpu, load
+from tests.golden.make_digests import (
+    compute,
+    compute_cpu,
+    compute_multicore,
+    load,
+)
 
 
 def assert_match(golden, digests):
@@ -20,6 +25,11 @@ def assert_match(golden, digests):
 @pytest.mark.parametrize("engine", ["interp", "fast"])
 def test_golden_digests(engine):
     assert_match({**load("core/"), **load("pass/")}, compute(engine))
+
+
+@pytest.mark.parametrize("engine", ["interp", "fast"])
+def test_multicore_digests(engine):
+    assert_match(load("mc/"), compute_multicore(engine))
 
 
 def test_cpu_digests():
