@@ -1,4 +1,4 @@
-"""Benchmark the multi-core contention interpreter across MNM topologies.
+"""Benchmark multi-core contention passes across MNM topologies.
 
 Times one cold ``multicore_pass`` per sharing topology (private / shared
 / hybrid banks, 4 cores on the paper's 3-level hierarchy), re-runs the
@@ -116,7 +116,7 @@ def main(argv=None):
         workloads=list(WORKLOADS),
         designs=list(MULTICORE_DESIGNS),
         deterministic=True,
-        notes=("each topology is one cold interpreter pass over "
+        notes=("each topology is one cold pass on the default engine over "
                f"{args.cores} interleaved streams on the 3-level paper "
                "hierarchy; cross_core_invalidations sums the per-design "
                "foreign-placement downgrades (0 for shared banks by "

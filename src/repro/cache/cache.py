@@ -358,8 +358,12 @@ class Cache:
         Returns the number of blocks invalidated.  Used by the inclusive-
         hierarchy back-invalidation path.
         """
-        first = self.block_addr(base_address)
-        last = self.block_addr(base_address + max(size - 1, 0))
+        last_address = base_address + max(size - 1, 0)
+        if not 0 <= base_address <= last_address < ADDRESS_SPACE:
+            validate_address(base_address)
+            validate_address(last_address)
+        first = base_address >> self._offset_bits
+        last = last_address >> self._offset_bits
         count = 0
         for blk in range(first, last + 1):
             way = self._way_of.pop(blk, None)

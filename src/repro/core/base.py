@@ -21,10 +21,7 @@ import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-try:  # numpy is optional: the interpreter engine never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as _np
 
 
 class Placement(enum.Enum):
@@ -96,18 +93,16 @@ class MissFilter(ABC):
     def query_many(self, granule_addrs):
         """Batched :meth:`is_definite_miss` over a sequence of granules.
 
-        Returns one boolean answer per input granule (a numpy bool array
-        when numpy is installed, a plain list otherwise).  This default is
+        Returns one boolean answer per input granule, as a numpy bool
+        array.  This default is
         correct by construction — it loops over :meth:`is_definite_miss` —
         and is the oracle every vectorized override must agree with
         element-wise (pinned by ``tests/core/test_soundness.py``).  Batched
         queries are read-only: they must never mutate filter state.
         """
         miss = self.is_definite_miss
-        answers = [miss(int(granule)) for granule in granule_addrs]
-        if _np is None:
-            return answers
-        return _np.asarray(answers, dtype=bool)
+        return _np.asarray([miss(int(granule)) for granule in granule_addrs],
+                           dtype=bool)
 
     @property
     @abstractmethod
@@ -135,8 +130,6 @@ class NullFilter(MissFilter):
         pass
 
     def query_many(self, granule_addrs):
-        if _np is None:
-            return [False] * len(granule_addrs)
         return _np.zeros(len(granule_addrs), dtype=bool)
 
     @property

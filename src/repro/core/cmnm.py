@@ -42,13 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from repro.core.base import MissFilter
 from repro.core.tmnm import COUNTER_BITS, CounterTable
-
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 @dataclass
@@ -193,8 +190,6 @@ class CMNM(MissFilter):
         counter slot is nonzero; everything else — no match at all, or all
         matching slots zero — is a definite miss.
         """
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         high = granules >> self.low_bits
         low = granules & ((1 << self.low_bits) - 1)

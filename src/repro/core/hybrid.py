@@ -14,12 +14,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
-from repro.core.base import MissFilter
+import numpy as _np
 
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.core.base import MissFilter
 
 
 class CompositeFilter(MissFilter):
@@ -38,8 +35,6 @@ class CompositeFilter(MissFilter):
 
     def query_many(self, granule_addrs):
         """Vectorized OR of the components' batched answers."""
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         answers = _np.asarray(self.components[0].query_many(granules),
                               dtype=bool)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as _np
+
 from repro.addresses import ADDRESS_BITS, BlockMapper, log2_exact
 from repro.cache.cache import AccessKind, Cache
 from repro.cache.hierarchy import CacheHierarchy
@@ -27,11 +29,6 @@ from repro.core.hybrid import CompositeFilter
 from repro.core.perfect import PerfectFilter
 from repro.core.rmnm import RMNMCache, RMNMLane
 from repro.telemetry import get_registry
-
-try:  # numpy is optional: the interpreter engine never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Per-level definite-miss bits, index ``tier - 1``; bit 0 is always False.
 MissBits = Tuple[bool, ...]
@@ -218,16 +215,12 @@ class MostlyNoMachine:
         """Batched :meth:`query` over aligned address/kind sequences.
 
         Returns an ``(n, num_tiers)`` boolean matrix (row *i* is exactly
-        ``query(addresses[i], kinds[i])``), or a list of ``MissBits``
-        tuples when numpy is unavailable.  Updates per-filter
+        ``query(addresses[i], kinds[i])``).  Updates per-filter
         :class:`~repro.core.base.FilterStats` and the ``mnm.*`` telemetry
         counters to the same totals as the equivalent sequence of scalar
         queries.  Like :meth:`query`, must be called before the matching
         hierarchy accesses mutate the filters' state.
         """
-        if _np is None:
-            return [self.query(address, kind)
-                    for address, kind in zip(addresses, kinds)]
         addrs = _np.asarray(addresses, dtype=_np.int64)
         n = addrs.shape[0]
         granules = addrs >> self._granule_shift

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 from typing import Set
 
-from repro.core.base import MissFilter
+import numpy as _np
 
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.core.base import MissFilter
 
 
 class PerfectFilter(MissFilter):
@@ -39,8 +36,6 @@ class PerfectFilter(MissFilter):
 
     def query_many(self, granule_addrs):
         """Batched resident-set membership test."""
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         resident = self._resident
         return _np.fromiter((g not in resident for g in granules.tolist()),

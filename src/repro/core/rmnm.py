@@ -25,14 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as _np
+
 from repro.addresses import is_power_of_two
 from repro.cache.replacement import make_policy
 from repro.core.base import MissFilter
-
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 @dataclass
@@ -130,14 +127,10 @@ class RMNMCache:
             0 if (entry := sets[g & mask].get(g)) is None
             else entry.replaced_bits
             for g in (granule_addrs.tolist()
-                      if _np is not None and isinstance(granule_addrs, _np.ndarray)
+                      if isinstance(granule_addrs, _np.ndarray)
                       else granule_addrs)
         )
-        if _np is None:
-            bits = list(values)
-        else:
-            bits = _np.fromiter(values, dtype=_np.int64,
-                                count=len(granule_addrs))
+        bits = _np.fromiter(values, dtype=_np.int64, count=len(granule_addrs))
         self._bits_memo = (self._version, granule_addrs, bits)
         return bits
 
@@ -215,8 +208,6 @@ class RMNMLane(MissFilter):
 
     def query_many(self, granule_addrs):
         """Extract this lane's bit from the shared batched lookup."""
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         bits = self.shared.replaced_bits_many(granules)
         return (bits >> self.lane) & 1 != 0

@@ -31,12 +31,9 @@ from array import array
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.base import MissFilter
+import numpy as _np
 
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+from repro.core.base import MissFilter
 
 #: Bit distance between consecutive checker slices (paper: slices start at
 #: the 1st, 7th and 13th bits of the block address).
@@ -120,18 +117,12 @@ class SumChecker:
             (table, len(table) - 1) for table in _chunk_tables(sum_width)
         ]
         # Immutable chunk tables as int64 arrays for the vectorized hash.
-        self._tables_np = (
-            None if _np is None
-            else [(_np.asarray(table, dtype=_np.int64), mask)
-                  for table, mask in self._tables]
-        )
+        self._tables_np = [(_np.asarray(table, dtype=_np.int64), mask)
+                           for table, mask in self._tables]
         # Zero-copy int64 view over the counts buffer, built once per
         # (re)alloc: batched queries are hot enough that per-call
         # frombuffer shows up.
-        self._counts_view = (
-            None if _np is None
-            else _np.frombuffer(self._counts, dtype=_np.int64)
-        )
+        self._counts_view = _np.frombuffer(self._counts, dtype=_np.int64)
 
     def _hash(self, granule_addr: int) -> int:
         value = granule_addr >> self.bit_offset
@@ -147,9 +138,6 @@ class SumChecker:
 
     def query_many(self, granule_addrs):
         """Vectorized :meth:`is_definite_miss` over an int64 granule array."""
-        if _np is None:
-            miss = self.is_definite_miss
-            return [miss(int(granule)) for granule in granule_addrs]
         values = _np.asarray(granule_addrs, dtype=_np.int64) >> self.bit_offset
         totals = None
         for table, mask in self._tables_np:
@@ -177,10 +165,7 @@ class SumChecker:
     def reset(self) -> None:
         """Clear all seen sums (cache flush)."""
         self._counts = array("q", bytes(8 * self._space))
-        self._counts_view = (
-            None if _np is None
-            else _np.frombuffer(self._counts, dtype=_np.int64)
-        )
+        self._counts_view = _np.frombuffer(self._counts, dtype=_np.int64)
 
     @property
     def storage_bits(self) -> int:
@@ -226,8 +211,6 @@ class SMNM(MissFilter):
 
     def query_many(self, granule_addrs):
         """Vectorized OR over the replicated checkers' batched answers."""
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         answers = self.checkers[0].query_many(granules)
         for checker in self.checkers[1:]:

@@ -25,13 +25,10 @@ from __future__ import annotations
 from array import array
 from typing import Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.base import MissFilter
 from repro.core.smnm import CHECKER_STRIDE
-
-try:  # numpy is optional: scalar paths below never touch it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 #: Counter width used by the paper ("We use a counter of 3 bits").
 COUNTER_BITS = 3
@@ -66,8 +63,7 @@ class CounterTable:
         self._counters = array("q", bytes(8 * (1 << index_bits)))
         # Zero-copy int64 view over the buffer, built once per (re)alloc:
         # batched queries are hot enough that per-call frombuffer shows up.
-        self._view = (None if _np is None
-                      else _np.frombuffer(self._counters, dtype=_np.int64))
+        self._view = _np.frombuffer(self._counters, dtype=_np.int64)
 
     def _index(self, granule_addr: int) -> int:
         return (granule_addr >> self.bit_offset) & ((1 << self.index_bits) - 1)
@@ -98,17 +94,13 @@ class CounterTable:
 
     def query_many(self, granule_addrs):
         """Vectorized :meth:`is_definite_miss` over an int64 granule array."""
-        if _np is None:
-            miss = self.is_definite_miss
-            return [miss(int(granule)) for granule in granule_addrs]
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         return self._view[(granules >> self.bit_offset) & self._index_mask] == 0
 
     def reset(self) -> None:
         """Zero every counter (cache flush)."""
         self._counters = array("q", bytes(8 * (1 << self.index_bits)))
-        self._view = (None if _np is None
-                      else _np.frombuffer(self._counters, dtype=_np.int64))
+        self._view = _np.frombuffer(self._counters, dtype=_np.int64)
 
     @property
     def saturated_slots(self) -> int:
@@ -154,8 +146,6 @@ class TMNM(MissFilter):
 
     def query_many(self, granule_addrs):
         """Vectorized OR over the replicated tables' batched answers."""
-        if _np is None:
-            return super().query_many(granule_addrs)
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
         answers = self.tables[0].query_many(granules)
         for table in self.tables[1:]:

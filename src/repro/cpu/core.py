@@ -242,8 +242,11 @@ class OutOfOrderCore:
         counts — the SimPoint-style fast-forward the paper relies on
         (Section 4.1), scaled down.  ``on_warmup_end`` fires once when the
         warmup boundary is crossed, letting the caller reset energy or
-        coverage meters at the same point.
+        coverage meters at the same point.  A negative ``warmup`` raises
+        :class:`ValueError`.
         """
+        if warmup < 0:
+            raise ValueError(f"warmup must be >= 0, got {warmup}")
         config = self.config
         memory = self.memory
         access = memory.access

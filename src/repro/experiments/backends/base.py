@@ -34,19 +34,11 @@ this as an intra-package ring DAG (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro.experiments.checkpoint import RunJournal
 from repro.experiments.planning import Task
 from repro.experiments.resilience import ExecutionPolicy
-
-try:  # Protocol is 3.8+; keep a plain-class fallback for exotic setups
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - pre-3.8 interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[no-redef]
-        return cls
 
 
 @runtime_checkable

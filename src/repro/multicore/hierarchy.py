@@ -83,25 +83,49 @@ class MulticoreHierarchy:
         if mc.l2_policy == "inclusive":
             for tier, caches in enumerate(self._shared, start=2):
                 for cache in caches:
-                    cache.add_replace_listener(self._make_back_invalidator(tier))
+                    cache.add_replace_listener(
+                        self._make_back_invalidator(tier, cache))
+        # Built once, used on every access: each (core, kind)'s L1 and
+        # shared route (tiers 2..N), the ``hits`` tuple of every supplier
+        # (None: main memory), and each core's peer L1s in core order.
+        self._routes: Dict[Tuple[int, AccessKind],
+                           Tuple[Cache, Tuple[Cache, ...]]] = {
+            (core, kind): (
+                self.l1_for(core, kind),
+                tuple(self.shared_cache_for(tier, kind)
+                      for tier in range(2, config.num_tiers + 1)),
+            )
+            for core in range(mc.cores) for kind in AccessKind
+        }
+        tiers = range(1, config.num_tiers + 1)
+        self._hits = {supplier: tuple(tier == supplier for tier in tiers)
+                      for supplier in (MEMORY_TIER, *tiers)}
+        self._peers = tuple(
+            tuple(cache for peer, caches in enumerate(self._private)
+                  if peer != core for cache in caches)
+            for core in range(mc.cores)
+        )
 
-    def _make_back_invalidator(self, tier: int):
-        def on_replace(cache: Cache, victim_block: int) -> None:
-            base = victim_block << cache.config.offset_bits
-            size = cache.config.block_size
+    def _make_back_invalidator(self, tier: int, outer: Cache):
+        # Every closer cache that could hold ``outer``'s blocks: the shared
+        # tiers first, then the private L1s in core order.
+        inner = tuple(
+            cache
+            for caches in (*self._shared[: tier - 2], *self._private)
+            for cache in caches if _compatible(outer, cache)
+        )
+        offset_bits = outer.config.offset_bits
+        size = outer.config.block_size
+
+        def on_replace(_cache: Cache, victim_block: int) -> None:
+            base = victim_block << offset_bits
             counts = self.back_invalidation_counts
-            inner_tiers: List[Tuple[Cache, ...]] = list(
-                self._shared[: tier - 2]
-            ) + list(self._private)
-            for caches in inner_tiers:
-                for inner in caches:
-                    if not _compatible(cache, inner):
-                        continue
-                    dropped = inner.invalidate_range(base, size)
-                    if dropped:
-                        self.back_invalidations += dropped
-                        name = inner.config.name
-                        counts[name] = counts.get(name, 0) + dropped
+            for cache in inner:
+                dropped = cache.invalidate_range(base, size)
+                if dropped:
+                    self.back_invalidations += dropped
+                    name = cache.config.name
+                    counts[name] = counts.get(name, 0) + dropped
 
         return on_replace
 
@@ -151,58 +175,47 @@ class MulticoreHierarchy:
         """
         self.active_core = core
         write = kind is AccessKind.STORE
-        hits: List[bool] = [False] * self.num_tiers
-        supplier: Optional[int] = MEMORY_TIER
-
-        l1 = self.l1_for(core, kind)
+        l1, shared = self._routes[core, kind]
         if l1.probe(address, write=write):
-            hits[0] = True
-            supplier = 1
+            supplier: Optional[int] = 1
         else:
-            for tier in range(2, self.num_tiers + 1):
-                cache = self.shared_cache_for(tier, kind)
+            supplier = MEMORY_TIER
+            tier = 1
+            for cache in shared:
+                tier += 1
                 if cache.probe(address, write=write):
-                    hits[tier - 1] = True
                     supplier = tier
                     break
-
-        if supplier != 1:
+            # ``shared[tier - 2]`` is the cache serving ``kind`` at ``tier``.
             fill_limit = (
-                self.num_tiers if supplier is MEMORY_TIER else supplier - 1
+                len(shared) + 1 if supplier is MEMORY_TIER else supplier - 1
             )
             if self.exclusive_l2:
                 # The shared L2 never receives demand fills: blocks enter
                 # it only as L1 victims, and a tier-2 hit *moves* the
                 # block into the requesting L1.
                 for tier in range(fill_limit, 2, -1):
-                    self.shared_cache_for(tier, kind).fill(address)
+                    shared[tier - 2].fill(address)
                 if supplier == 2:
-                    self.shared_cache_for(2, kind).invalidate_range(address, 1)
+                    shared[0].invalidate_range(address, 1)
                 victim = l1.fill(address, dirty=write)
                 if victim is not None:
-                    victim_address = victim << l1.config.offset_bits
-                    self.shared_cache_for(2, kind).fill(victim_address)
+                    shared[0].fill(victim << l1.config.offset_bits)
             else:
                 for tier in range(fill_limit, 1, -1):
-                    self.shared_cache_for(tier, kind).fill(address)
+                    shared[tier - 2].fill(address)
                 l1.fill(address, dirty=write)
 
         if write:
-            self._invalidate_peers(core, address)
-
-        return AccessOutcome(
-            address=address, kind=kind, hits=tuple(hits), supplier=supplier
-        )
-
-    def _invalidate_peers(self, core: int, address: int) -> None:
-        """Write-invalidate coherence: drop peers' private copies."""
-        for peer, caches in enumerate(self._private):
-            if peer == core:
-                continue
-            for cache in caches:
+            # Write-invalidate coherence: drop peers' private copies.
+            for cache in self._peers[core]:
                 self.coherence_invalidations += cache.invalidate_range(
                     address, 1
                 )
+        return AccessOutcome(
+            address=address, kind=kind, hits=self._hits[supplier],
+            supplier=supplier,
+        )
 
     def where_is(self, core: int, address: int,
                  kind: AccessKind) -> Optional[int]:

@@ -381,18 +381,19 @@ def _check_engine(engine: str) -> None:
         )
 
 
+def _check_warmup(warmup: int) -> None:
+    if warmup < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+
+
 def _use_kernel(engine: str) -> bool:
     """True when ``engine`` resolves to the fast kernel.
 
     The decision tracer forces the interpreter (only it emits per-access
-    records), and so does a numpy-free install; both are safe because
-    the engines agree on every reported number.
+    records), which is safe because the engines agree on every reported
+    number.
     """
-    if engine != "fast" or get_tracer().enabled:
-        return False
-    from repro.kernel import engine_available
-
-    return engine_available()
+    return engine == "fast" and not get_tracer().enabled
 
 
 def run_core_trace(
@@ -409,10 +410,11 @@ def run_core_trace(
     ``warmup`` instructions train caches/filters/predictors but are
     excluded from every reported number (the paper's SimPoint-style
     fast-forward, scaled down).  A warm-up that covers the whole trace
-    would measure nothing and raises :class:`ValueError`.
+    would measure nothing and raises :class:`ValueError`, as does a
+    negative one.
 
     ``engine`` picks how the memory side is computed, with the same
-    values and fallbacks as :func:`run_reference_pass`.  ``"interp"``
+    values and tracer fallback as :func:`run_reference_pass`.  ``"interp"``
     runs the core against :class:`SimulatedMemory`, which queries, walks
     and prices each access as the core makes it: the oracle.  ``"fast"``
     relies on the core making its accesses in program order whatever
@@ -423,6 +425,7 @@ def run_core_trace(
     :class:`ReplayedMemory`.  Both return identical results.
     """
     _check_engine(engine)
+    _check_warmup(warmup)
     if warmup >= len(trace.instructions):
         raise ValueError(
             f"core trace {trace.name!r} measured nothing: warmup={warmup} "
@@ -592,11 +595,11 @@ def run_reference_pass(
     engine-equivalence tests and CI).  When the access tracer is enabled
     the interpreter runs regardless of ``engine`` — only it emits
     per-access trace records — which is safe precisely because the two
-    engines agree on every reported number.  On numpy-free installs
-    ``"fast"`` likewise falls back to the interpreter (same results,
-    just slower).
+    engines agree on every reported number.  A negative ``warmup``, or
+    one that consumes the whole stream, raises :class:`ValueError`.
     """
     _check_engine(engine)
+    _check_warmup(warmup)
     if _use_kernel(engine):
         from repro.kernel import run_reference_pass_fast
 
@@ -797,11 +800,14 @@ def run_multicore_pass(
     :func:`run_reference_pass`, bypasses never change cache contents, so
     every design (each with its own :class:`~repro.multicore.mnm.
     MulticoreMNM` bank set) observes one shared simulation.
+    ``workload_names`` is empty or names every core's workload.
 
-    The fast kernel does not model multicore contention: ``engine="fast"``
-    deliberately falls back to this interpreter (pinned by
-    ``tests/multicore/test_pass.py``), keeping the CLI's ``--engine``
-    flag safe to pass everywhere.
+    ``engine`` picks the implementation, with the same values and tracer
+    fallback as :func:`run_reference_pass`: ``"interp"`` is the
+    interpreter below, ``"fast"`` the record/replay kernel
+    (:func:`repro.kernel.run_multicore_pass_fast`).  A negative
+    ``warmup``, or one that consumes the whole interleaved stream, raises
+    :class:`ValueError`.
     """
     from repro.analysis.coverage import CoverageMeter as _Meter
     from repro.multicore.config import MulticoreConfig
@@ -810,6 +816,7 @@ def run_multicore_pass(
     from repro.multicore.schedule import interleave
 
     _check_engine(engine)
+    _check_warmup(warmup)
     if not isinstance(mc, MulticoreConfig):
         raise TypeError(f"mc must be a MulticoreConfig, got {type(mc)!r}")
     streams = [list(stream) for stream in per_core_references]
@@ -817,6 +824,18 @@ def run_multicore_pass(
         raise ValueError(
             f"{mc.cores} cores need {mc.cores} reference streams, "
             f"got {len(streams)}"
+        )
+    if workload_names and len(workload_names) != mc.cores:
+        raise ValueError(
+            f"{mc.cores} cores need {mc.cores} workload names (or none), "
+            f"got {len(workload_names)}"
+        )
+    if _use_kernel(engine):
+        from repro.kernel import run_multicore_pass_fast
+
+        return run_multicore_pass_fast(
+            streams, hierarchy_config, designs, mc,
+            workload_names=workload_names, warmup=warmup,
         )
 
     profiler = get_profiler()

@@ -190,6 +190,14 @@ class TestWarmup:
                  on_warmup_end=lambda: calls.append(1))
         assert calls == [1]
 
+    def test_negative_warmup_rejected(self):
+        """Regression: ``instructions = count - warmup`` counted a negative
+        warm-up as extra instructions."""
+        core = OutOfOrderCore(paper_core(8), FixedLatencyMemory(2, 2),
+                              PerfectPredictor())
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            core.run([ialu(i) for i in range(100)], warmup=-5)
+
     def test_zero_warmup_no_callback(self):
         calls = []
         core = OutOfOrderCore(paper_core(8), FixedLatencyMemory(2, 2),

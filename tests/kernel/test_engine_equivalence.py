@@ -19,12 +19,6 @@ from repro.core.presets import parse_design
 from repro.simulate import run_reference_pass
 from repro.workloads import get_trace, workload_names
 
-pytestmark = pytest.mark.skipif(
-    not __import__("repro.kernel", fromlist=["engine_available"])
-    .engine_available(),
-    reason="fast engine requires numpy",
-)
-
 #: One design per filter family, plus the hybrid and oracle bounds.
 FAMILY_DESIGNS = ("TMNM_10x1", "SMNM_10x2", "CMNM_2_9", "RMNM_512_2",
                   "HMNM1", "PERFECT")

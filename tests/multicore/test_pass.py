@@ -4,8 +4,15 @@ import random
 
 import pytest
 
-from repro.core.presets import hmnm_design, perfect_design, tmnm_design
-from repro.multicore.config import MulticoreConfig
+from repro.core.base import MissFilter
+from repro.core.machine import MNMDesign
+from repro.core.presets import (
+    hmnm_design,
+    perfect_design,
+    tmnm_design,
+    tmnm_factory,
+)
+from repro.multicore.config import SHARINGS, MulticoreConfig
 from repro.simulate import run_multicore_pass
 from tests.conftest import random_references, small_hierarchy_config
 
@@ -42,16 +49,15 @@ class TestDeterminism:
         b = run_multicore_pass(streams(2), CONFIG, DESIGNS, mc, warmup=200)
         assert result_signature(a) == result_signature(b)
 
-    def test_fast_engine_falls_back_to_interp(self):
-        """Pins the documented contract: the numpy kernel does not model
-        contention, so engine='fast' must produce byte-identical results
-        via the interpreter rather than failing or diverging."""
-        mc = MulticoreConfig(cores=2)
-        interp = run_multicore_pass(streams(2), CONFIG, DESIGNS, mc,
-                                    warmup=200, engine="interp")
-        fast = run_multicore_pass(streams(2), CONFIG, DESIGNS, mc,
-                                  warmup=200, engine="fast")
-        assert result_signature(interp) == result_signature(fast)
+    def test_fast_engine_matches_interp(self):
+        """The record/replay kernel equals its interpreter oracle."""
+        for sharing in SHARINGS:
+            mc = MulticoreConfig(cores=2, mnm_sharing=sharing)
+            interp = run_multicore_pass(streams(2), CONFIG, DESIGNS, mc,
+                                        warmup=200, engine="interp")
+            fast = run_multicore_pass(streams(2), CONFIG, DESIGNS, mc,
+                                      warmup=200, engine="fast")
+            assert result_signature(interp) == result_signature(fast)
 
     def test_schedule_seed_changes_the_interleaving(self):
         base = MulticoreConfig(cores=2, schedule="stochastic",
@@ -61,6 +67,64 @@ class TestDeterminism:
         a = run_multicore_pass(streams(2), CONFIG, DESIGNS, base)
         b = run_multicore_pass(streams(2), CONFIG, DESIGNS, other)
         assert result_signature(a) != result_signature(b)
+
+
+class TaintingFilter(MissFilter):
+    """An exact resident-set filter whose ``on_invalidate`` also taints
+    the granule: a tainted granule is never proved missing again."""
+
+    technique = "taint"
+
+    def __init__(self) -> None:
+        self._resident = set()
+        self._tainted = set()
+
+    def is_definite_miss(self, granule_addr: int) -> bool:
+        return (granule_addr not in self._resident
+                and granule_addr not in self._tainted)
+
+    def on_place(self, granule_addr: int) -> None:
+        self._resident.add(granule_addr)
+
+    def on_replace(self, granule_addr: int) -> None:
+        self._resident.discard(granule_addr)
+
+    def on_invalidate(self, granule_addr: int) -> None:
+        super().on_invalidate(granule_addr)
+        self._tainted.add(granule_addr)
+
+    @property
+    def storage_bits(self) -> int:
+        return 0
+
+    @property
+    def name(self) -> str:
+        return "TAINT"
+
+
+class TestInvalidateOverride:
+    @pytest.mark.parametrize("sharing", SHARINGS)
+    def test_engines_dispatch_foreign_events_alike(self, sharing):
+        """Another core's event reaches a lone filter's own
+        ``on_invalidate``, but a composite's components only through the
+        composite's inherited downgrade (their ``on_place``); the kernel
+        must dispatch it as the interpreter does."""
+        designs = (
+            MNMDesign(name="lone",
+                      default_factories=(lambda _context: TaintingFilter(),)),
+            MNMDesign(name="composite",
+                      default_factories=(lambda _context: TaintingFilter(),
+                                         tmnm_factory(6, 1))),
+        )
+        mc = MulticoreConfig(cores=3, mnm_sharing=sharing)
+        interp = run_multicore_pass(streams(3, count=600), CONFIG, designs,
+                                    mc, warmup=300, engine="interp")
+        fast = run_multicore_pass(streams(3, count=600), CONFIG, designs,
+                                  mc, warmup=300, engine="fast")
+        assert result_signature(fast) == result_signature(interp)
+        for result in (interp, fast):
+            assert all(dr.coverage.violations == 0
+                       for dr in result.designs.values())
 
 
 class TestValidation:
@@ -79,9 +143,29 @@ class TestValidation:
                                MulticoreConfig(cores=2), engine="verilog")
 
     def test_warmup_consuming_everything_raises(self):
-        with pytest.raises(ValueError, match="warmup"):
-            run_multicore_pass(streams(2, count=50), CONFIG, DESIGNS,
-                               MulticoreConfig(cores=2), warmup=100)
+        for engine in ("interp", "fast"):
+            with pytest.raises(ValueError, match="warmup"):
+                run_multicore_pass(streams(2, count=50), CONFIG, DESIGNS,
+                                   MulticoreConfig(cores=2), warmup=100,
+                                   engine=engine)
+
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_negative_warmup_rejected(self, engine):
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            run_multicore_pass(streams(2), CONFIG, DESIGNS,
+                               MulticoreConfig(cores=2), warmup=-1,
+                               engine=engine)
+
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_workload_names_must_name_every_core(self, engine):
+        with pytest.raises(ValueError, match="workload names"):
+            run_multicore_pass(streams(2), CONFIG, DESIGNS,
+                               MulticoreConfig(cores=2),
+                               workload_names=("twolf",), engine=engine)
+        result = run_multicore_pass(streams(2), CONFIG, DESIGNS,
+                                    MulticoreConfig(cores=2),
+                                    workload_names=(), engine=engine)
+        assert result.workloads == ()
 
 
 class TestContentionSignal:

@@ -116,6 +116,15 @@ class TestRunCoreTrace:
                               engine=engine)
         assert last.core.instructions == 1
 
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_negative_warmup_raises(self, trace, engine):
+        """Regression: a negative warm-up inflated the reported
+        instruction count (``count - warmup``) instead of failing."""
+        for warmup in (-1, -100):
+            with pytest.raises(ValueError, match="warmup must be >= 0"):
+                run_core_trace(trace, CONFIG, hmnm_design(1), warmup=warmup,
+                               engine=engine)
+
     def test_deterministic(self, trace):
         a = run_core_trace(trace, CONFIG, hmnm_design(2),
                            core_config=paper_core(4))
@@ -182,6 +191,13 @@ class TestRunReferencePass:
         with pytest.raises(ValueError, match="warmup"):
             run_reference_pass(refs, CONFIG, [], "twolf",
                                warmup=len(refs) + 10)
+
+    @pytest.mark.parametrize("engine", ["interp", "fast"])
+    def test_negative_warmup_raises(self, refs, engine):
+        """Regression: a negative warm-up was silently treated as 0."""
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            run_reference_pass(refs, CONFIG, [tmnm_design(8, 1)], "twolf",
+                               warmup=-1, engine=engine)
 
     def test_storage_bits_reported(self, refs):
         result = run_reference_pass(refs, CONFIG, [tmnm_design(8, 1)],
