@@ -44,6 +44,17 @@ class TestInvalidateRange:
         cache = self.make_cache()
         assert cache.invalidate_range(0x1000, 128) == 0
 
+    def test_addresses_validated(self):
+        """Both ends of the range must lie in the 32-bit address space."""
+        cache = self.make_cache()
+        with pytest.raises(ValueError, match="-0x20 outside"):
+            cache.invalidate_range(-32, 64)
+        with pytest.raises(ValueError, match="0x10000001f outside"):
+            cache.invalidate_range((1 << 32) - 32, 64)
+        cache.fill(0x1000)
+        # A non-positive size still covers the block of its base address.
+        assert cache.invalidate_range(0x1010, 0) == 1
+
     def test_way_reusable_after_invalidation(self):
         cache = self.make_cache()
         cache.fill(0x1000)
