@@ -1,21 +1,17 @@
 """Blessed atomic filesystem write idioms (the R009 surface).
 
-Every durable artifact in the repo — pass-cache entries, run journals,
-queue state, manifests — commits through one of three idioms, each of
-which guarantees a reader never observes a torn file:
+Every durable artifact in the repo — pass-cache entries, run-journal
+headers, manifests — commits through one of two idioms, each of which
+guarantees a reader never observes a torn file:
 
 * :func:`replace_atomic` — temp file + ``os.replace``: last-writer-wins
   replacement.  For single-logical-writer documents (a run's manifest,
-  a queue's header) where the newest content should stick.
+  a journal's header) where the newest content should stick.
 * :func:`publish_linked` — temp file + ``os.link``: first-writer-wins
-  publication.  For content-addressed stores (the disk pass cache,
-  queue result commitment) where concurrent writers carry identical
-  payloads and the first fully-written one should stick; returns
-  whether *this* writer won, so callers can count races.
-* :func:`create_exclusive` — temp file + ``os.link``: exclusive claim.
-  For mutual exclusion by filename (queue lease claims) where exactly
-  one contender may ever succeed, and the name must never be visible
-  before its content is.
+  publication.  For content-addressed stores (the disk pass cache)
+  where concurrent writers carry identical payloads and the first
+  fully-written one should stick; returns whether *this* writer won,
+  so callers can count races.
 
 This module is deliberately the **only** place those syscall sequences
 are spelled out: R009 (:mod:`repro.staticcheck.rules.atomicity`) flags
@@ -38,8 +34,8 @@ import threading
 def _temp_path(path: str) -> str:
     """A temp name beside ``path``, unique per process *and* thread.
 
-    Concurrent writers in one process (threads contending for a lease)
-    must not share a temp file, or one's ``os.replace`` moves the
+    Concurrent writers in one process (threads publishing the same
+    entry) must not share a temp file, or one's ``os.replace`` moves the
     other's bytes and the loser's rename fails.
     """
     return f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
@@ -104,28 +100,3 @@ def publish_linked(path: str, data: bytes, fsync: bool = True) -> bool:
     except OSError:
         _discard(tmp_path)
         raise
-
-
-def create_exclusive(path: str, data: bytes, fsync: bool = True) -> bool:
-    """Create ``path`` with ``data`` iff it does not exist yet.
-
-    Returns True when this call created the file, False when a
-    contender already holds the name.  The bytes are written to a temp
-    file first and hard-linked into place, so the name never exists
-    without its whole content: a contender that loses the race never
-    reads a claimed-but-empty file (and takes it for an abandoned one).
-    There is deliberately no fallback for filesystems without hard
-    links: any other ``os.link`` failure propagates, because every
-    weaker claim (``O_CREAT | O_EXCL`` then write) reopens exactly that
-    race and lets two contenders win.
-    """
-    tmp_path = _temp_path(path)
-    try:
-        _write_temp(tmp_path, data, fsync)
-        try:
-            os.link(tmp_path, path)
-        except FileExistsError:
-            return False
-        return True
-    finally:
-        _discard(tmp_path)

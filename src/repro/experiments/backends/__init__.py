@@ -6,18 +6,14 @@ deduplicated, journal-filtered task list to one of these:
 * :class:`~repro.experiments.backends.inprocess.InProcessBackend` —
   serial, in the calling process (``--jobs 1``);
 * :class:`~repro.experiments.backends.pool.PoolBackend` — a local
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``--jobs N``);
-* :class:`~repro.experiments.backends.distributed.DistributedBackend` —
-  a filesystem work queue served by independent ``repro-mnm worker``
-  processes (``--backend distributed --queue <dir>``).
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``--jobs N``).
 
-All three uphold the same contract (see
+Both uphold the same contract (see
 :mod:`repro.experiments.backends.base`): results merge in submission
 order, so the report bytes are identical whichever backend ran them.
 """
 
 from repro.experiments.backends.base import ExecutorBackend, task_identity
-from repro.experiments.backends.distributed import DistributedBackend
 from repro.experiments.backends.inprocess import (
     InProcessBackend,
     execute_one_serial,
@@ -29,28 +25,15 @@ from repro.experiments.backends.pool import (
     run_task,
     terminate_pool,
 )
-from repro.experiments.backends.queue import Lease, WorkItem, WorkQueue
-from repro.experiments.backends.worker import (
-    WorkerOptions,
-    default_worker_id,
-    run_worker,
-)
 
 __all__ = [
-    "DistributedBackend",
     "ExecutorBackend",
     "InProcessBackend",
-    "Lease",
     "PoolBackend",
     "TaskOutcome",
     "TelemetryFlags",
-    "WorkItem",
-    "WorkQueue",
-    "WorkerOptions",
-    "default_worker_id",
     "execute_one_serial",
     "run_task",
-    "run_worker",
     "task_identity",
     "terminate_pool",
 ]

@@ -1,11 +1,10 @@
 """The pluggable executor-backend contract.
 
-:func:`repro.experiments.executor.execute_tasks` used to hard-code two
-execution strategies (in-process serial, local ``ProcessPoolExecutor``).
-This package abstracts the strategy behind one small protocol so the
-engine can grow new substrates — the filesystem-backed distributed
-backend in :mod:`repro.experiments.backends.distributed` is the first —
-without touching the dedup/resume/fault plumbing in ``execute_tasks``.
+:func:`repro.experiments.executor.execute_tasks` runs its tasks through
+one of two execution strategies (in-process serial, local
+``ProcessPoolExecutor``).  This package puts the strategy behind one
+small protocol, so the dedup/resume/fault plumbing in ``execute_tasks``
+never depends on which strategy runs the tasks.
 
 Every backend receives the same inputs and owes the same contract:
 
@@ -21,9 +20,8 @@ Every backend receives the same inputs and owes the same contract:
   raises :class:`~repro.experiments.resilience.TaskExecutionError`;
   ``KeyboardInterrupt`` propagates untouched so journaled runs stay
   resumable;
-* backend health telemetry lives under ``executor.*`` / ``queue.*``
-  counters, which — like span timings — are excluded from the
-  byte-identity contract.
+* backend health telemetry lives under ``executor.*`` counters, which
+  — like span timings — are excluded from the byte-identity contract.
 
 Layering note: backend modules import the foundations (``planning``,
 ``passcache``, ``checkpoint``, ``resilience``) but never
@@ -47,8 +45,7 @@ class ExecutorBackend(Protocol):
 
     Implementations: :class:`~repro.experiments.backends.inprocess.
     InProcessBackend`, :class:`~repro.experiments.backends.pool.
-    PoolBackend`, :class:`~repro.experiments.backends.distributed.
-    DistributedBackend`.
+    PoolBackend`.
     """
 
     #: Short name used in spans, logs and error messages.

@@ -1,10 +1,9 @@
 """In-process serial backend: one task at a time, retries included.
 
 The ``--jobs 1`` path and the serial-degradation fallback both land
-here.  No subprocesses means no pool to break and no lease to expire —
-but also no way to preempt a hung task, which is why ``--task-timeout``
-is only *checked* between tasks on this path (see
-:func:`execute_one_serial`).
+here.  No subprocesses means no pool to break — but also no way to
+preempt a hung task, which is why ``--task-timeout`` is only *checked*
+between tasks on this path (see :func:`execute_one_serial`).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.experiments.resilience import (
     TaskExecutionError,
     is_retryable,
 )
-from repro.testing.faults import get_injector
+from repro.testing import faults
 
 
 def _sleep(seconds: float) -> None:
@@ -59,7 +58,7 @@ def execute_one_serial(
     task_id, kind, experiment = task_identity(task)
     attempt = start_attempt
     while True:
-        injector = get_injector()
+        injector = faults.get_injector()
         if injector is not None:
             injector.set_attempt(attempt)
         try:

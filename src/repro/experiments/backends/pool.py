@@ -7,10 +7,8 @@ a round: the pool is rebuilt and only still-incomplete tasks resubmit;
 after ``max_pool_failures`` consecutive collapses the backend degrades
 to in-process serial execution instead of crashing the run.
 
-:func:`run_task` is the worker-side entry point, shared with the
-distributed backend's queue workers (:mod:`repro.experiments.backends.
-worker`): one function defines what "execute a task with local
-telemetry" means, whichever substrate the task travels over.
+:func:`run_task` is the worker-side entry point: it defines what
+"execute a task with local telemetry" means in a pool process.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.experiments.resilience import (
     TaskExecutionError,
     is_retryable,
 )
-from repro.testing.faults import configure_faults
+from repro.testing import faults
 
 
 @dataclass(frozen=True)
@@ -76,17 +74,17 @@ def run_task(
 ) -> TaskOutcome:
     """Worker entry point: execute one task with local telemetry.
 
-    Runs in the pool process (or a ``repro-mnm worker``).  The worker
-    gets its own registry/profiler (and span recorder when the parent is
-    building a run manifest) so the returned snapshots contain exactly
-    this task's recordings, and its own pass cache configured like the
-    parent's — with a shared ``--cache-dir`` the worker itself persists
-    the result to disk.  The fault spec and attempt number are forwarded
+    Runs in the pool process.  The worker gets its own registry/profiler
+    (and span recorder when the parent is building a run manifest) so
+    the returned snapshots contain exactly this task's recordings, and
+    its own pass cache configured like the parent's — with a shared
+    ``--cache-dir`` the worker itself persists the result to disk.  The
+    fault spec and attempt number are forwarded
     explicitly so chaos injection works under any multiprocessing start
     method and converges as the parent retries.
     """
     configure_pass_cache(cache_dir=cache_dir, enabled=cache_enabled)
-    injector = configure_faults(fault_spec) if fault_spec else None
+    injector = faults.configure_faults(fault_spec) if fault_spec else None
     registry = telemetry.enable_metrics() if flags.metrics else None
     profiler = telemetry.enable_profiling() if flags.profile else None
     spans = telemetry.enable_spans() if flags.spans else None
@@ -110,7 +108,7 @@ def run_task(
     finally:
         telemetry.reset()
         if fault_spec:
-            configure_faults(None)
+            faults.configure_faults(None)
 
 
 #: Seconds :func:`terminate_pool` lets SIGTERMed workers exit before it

@@ -14,8 +14,6 @@ Examples::
     repro-mnm obs diff runs/last runs/nightly
     repro-mnm obs regress runs/nightly --baseline ci/baselines/
     repro-mnm run fig15 --retries 3 --task-timeout 600
-    repro-mnm report --run-dir runs/farm --backend distributed --workers 3
-    repro-mnm worker --queue runs/farm/queue   # extra hands, any host
     repro-mnm search --space paper --sampler random --samples 32 \\
         --budget-bits 80000 --seed 7 --top-k 5
     repro-mnm telemetry summary metrics.json
@@ -31,8 +29,9 @@ one-line message instead of a raw traceback:
 2     usage error (argparse: unknown flag, missing argument)
 3     bad path (``--cache-dir``/``--resume``/output directory,
       a ``check`` path)
-4     invalid value (``--retries``, ``--task-timeout``,
-      ``--trace-sample``, ``--jobs``, ``--rules``,
+4     invalid value (``--instructions``, ``--warmup-fraction``,
+      ``--workloads``, ``--retries``, ``--task-timeout``,
+      ``--trace-sample``, ``--jobs``, ``--rules``, a design name,
       conflicting flags)
 5     unknown experiment id
 6     a simulation task failed after exhausting its retries
@@ -43,9 +42,9 @@ one-line message instead of a raw traceback:
 ====  =======================================================
 
 SIGTERM is handled exactly like Ctrl-C: the journal is flushed, a
-``--run-dir`` manifest is written with ``status: interrupted``, worker
-leases are released, and the process exits 130 — so a fleet scheduler
-(or CI) terminating a run loses at most the in-flight task.
+``--run-dir`` manifest is written with ``status: interrupted``, and the
+process exits 130 — so a scheduler (or CI) terminating a run loses at
+most the in-flight task.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ from repro.experiments.resilience import (
 from repro.search.objectives import METRICS as OBJECTIVE_METRICS
 from repro.search.samplers import SAMPLER_NAMES
 from repro.search.space import space_names as search_space_names
+from repro.workloads import workload_names
 
 #: The exit-code table (documented in the module docstring and README).
 EXIT_OK = 0
@@ -190,32 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "(default: the contention line-up)")
     _add_settings_args(multicore)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve simulation tasks from a distributed work queue")
-    worker.add_argument("--queue", type=str, required=True,
-                        help="work-queue directory (created by a "
-                             "'--backend distributed' controller)")
-    worker.add_argument("--worker-id", type=str, default="",
-                        help="queue-unique worker name "
-                             "(default <host>-<pid>)")
-    worker.add_argument("--poll-interval", type=float, default=0.2,
-                        help="seconds between queue scans when idle "
-                             "(default 0.2)")
-    worker.add_argument("--lease-ttl", type=float, default=None,
-                        help="seconds a claimed task's lease lives "
-                             "between heartbeats (default: the queue "
-                             "header's value)")
-    worker.add_argument("--max-tasks", type=int, default=None,
-                        help="exit after serving this many tasks "
-                             "(default: serve until shutdown)")
-    worker.add_argument("--wait-seconds", type=float, default=10.0,
-                        help="seconds to wait for the queue header to "
-                             "appear before giving up (default 10)")
-    worker.add_argument("--exit-when-drained", action="store_true",
-                        help="exit once the queue has no claimable "
-                             "tasks instead of polling for more")
-
     check = sub.add_parser(
         "check",
         help="static invariant checker: AST rules R001-R010 over the "
@@ -282,28 +256,6 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for independent simulation "
                              "passes (0 = auto: one per CPU; results are "
                              "bit-identical for any value)")
-    parser.add_argument("--backend",
-                        choices=("auto", "inprocess", "pool", "distributed"),
-                        default="auto",
-                        help="execution backend (default auto: in-process "
-                             "for --jobs 1, a local pool otherwise; "
-                             "'distributed' farms tasks out over a shared "
-                             "work queue — results are bit-identical "
-                             "either way)")
-    parser.add_argument("--queue", type=str, default="",
-                        help="work-queue directory for --backend "
-                             "distributed (default: <run dir>/queue when "
-                             "--run-dir/--resume is set)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes to spawn for --backend "
-                             "distributed (default: the --jobs value; 0 = "
-                             "spawn none and rely on externally started "
-                             "'repro-mnm worker' processes)")
-    parser.add_argument("--lease-ttl", type=float, default=30.0,
-                        help="seconds a distributed task lease lives "
-                             "between heartbeats; a worker dead longer "
-                             "than this loses its task to another worker "
-                             "(default 30)")
     parser.add_argument("--cache-dir", type=str, default="",
                         help="persist computed simulation passes to this "
                              "directory and reuse them across runs")
@@ -331,6 +283,7 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
+    """The run's settings; a bad value fails here, before any simulation."""
     kwargs = {}
     if args.instructions is not None:
         kwargs["num_instructions"] = args.instructions
@@ -338,11 +291,21 @@ def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
         kwargs["warmup_fraction"] = args.warmup_fraction
     kwargs["seed"] = args.seed
     if args.workloads:
-        kwargs["workloads"] = tuple(
+        names = tuple(
             name.strip() for name in args.workloads.split(",") if name.strip()
         )
+        unknown = [name for name in names if name not in workload_names()]
+        if unknown:
+            raise _fail(EXIT_BAD_VALUE,
+                        f"--workloads: unknown workload(s) "
+                        f"{', '.join(unknown)} (expected names from "
+                        f"{', '.join(workload_names())})")
+        kwargs["workloads"] = names
     kwargs["engine"] = args.engine
-    return ExperimentSettings(**kwargs)
+    try:
+        return ExperimentSettings(**kwargs)
+    except ValueError as exc:
+        raise _fail(EXIT_BAD_VALUE, str(exc))
 
 
 def _emit(text: str, output_path: str) -> None:
@@ -358,6 +321,15 @@ def _check_output_dir(flag: str, path: str) -> None:
     if not os.path.isdir(directory):
         raise _fail(EXIT_BAD_PATH,
                     f"{flag} directory does not exist: {directory}")
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """Fail before the run when a results file could not be written."""
+    for flag, path in (("--output", args.output),
+                       ("--json", args.json_path),
+                       ("--report-out", getattr(args, "report_out", ""))):
+        if path:
+            _check_output_dir(flag, path)
 
 
 def _enable_telemetry(args: argparse.Namespace) -> None:
@@ -508,96 +480,11 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return jobs
 
 
-def _build_backend(args: argparse.Namespace, jobs: int):
-    """The explicit executor backend for ``--backend``, or None for auto.
-
-    Validation lives here so a bad combination fails before any
-    simulation starts: ``--queue``/``--workers`` only mean something to
-    the distributed backend, and the distributed backend needs a queue
-    directory from somewhere (``--queue``, or ``<run dir>/queue``).
-    """
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        raise _fail(EXIT_BAD_VALUE,
-                    f"--lease-ttl must be > 0 seconds, got {args.lease_ttl}")
-    if args.backend != "distributed":
-        if args.queue:
-            raise _fail(EXIT_BAD_VALUE,
-                        "--queue requires --backend distributed")
-        if args.workers is not None:
-            raise _fail(EXIT_BAD_VALUE,
-                        "--workers requires --backend distributed")
-    if args.backend == "auto":
-        return None
-    if args.backend == "inprocess":
-        from repro.experiments.backends import InProcessBackend
-
-        return InProcessBackend()
-    if args.backend == "pool":
-        from repro.experiments.backends import PoolBackend
-
-        return PoolBackend(jobs=max(2, jobs))
-    queue_dir = args.queue
-    if not queue_dir:
-        run_dir = args.resume or args.run_dir
-        if not run_dir:
-            raise _fail(EXIT_BAD_VALUE,
-                        "--backend distributed needs a queue directory: "
-                        "pass --queue DIR, or use --run-dir/--resume "
-                        "(the queue then lives in <dir>/queue)")
-        queue_dir = os.path.join(run_dir, "queue")
-    if args.workers is not None and args.workers < 0:
-        raise _fail(EXIT_BAD_VALUE,
-                    f"--workers must be >= 0, got {args.workers}")
-    workers = args.workers if args.workers is not None else max(1, jobs)
-    from repro.experiments.backends import DistributedBackend
-
-    return DistributedBackend(queue_dir, workers=workers,
-                              lease_ttl=args.lease_ttl)
-
-
-def _worker_command(args: argparse.Namespace) -> int:
-    """``repro-mnm worker``: serve a distributed work queue."""
-    from repro.experiments.backends import WorkerOptions, run_worker
-
-    if args.poll_interval <= 0:
-        raise _fail(EXIT_BAD_VALUE,
-                    f"--poll-interval must be > 0 seconds, "
-                    f"got {args.poll_interval}")
-    if args.lease_ttl is not None and args.lease_ttl <= 0:
-        raise _fail(EXIT_BAD_VALUE,
-                    f"--lease-ttl must be > 0 seconds, got {args.lease_ttl}")
-    if args.max_tasks is not None and args.max_tasks < 1:
-        raise _fail(EXIT_BAD_VALUE,
-                    f"--max-tasks must be >= 1, got {args.max_tasks}")
-    options = WorkerOptions(
-        queue_dir=args.queue,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        lease_ttl=args.lease_ttl,
-        max_tasks=args.max_tasks,
-        wait_seconds=max(0.0, args.wait_seconds),
-        exit_when_drained=args.exit_when_drained,
-    )
-    try:
-        return run_worker(options)
-    except ValueError as exc:
-        raise _fail(EXIT_BAD_PATH, str(exc))
-    except KeyboardInterrupt:
-        # Ctrl-C or SIGTERM: the in-flight lease was already released by
-        # the worker loop, so the task reassigns immediately.
-        print("repro-mnm: worker interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    finally:
-        telemetry.reset()
-        configure_pass_cache()
-
-
 def _search_command(args: argparse.Namespace,
                     settings: ExperimentSettings,
                     jobs: int,
                     policy: ExecutionPolicy,
-                    journal: Optional[RunJournal],
-                    backend=None) -> int:
+                    journal: Optional[RunJournal]) -> int:
     """``repro-mnm search``: budget-constrained design-space search."""
     from repro.search import Objective, make_sampler, run_search, space_preset
 
@@ -630,7 +517,6 @@ def _search_command(args: argparse.Namespace,
         journal=journal,
         top_k=args.top_k,
         include_baselines=not args.no_baselines,
-        backend=backend,
     )
     _emit(report.render(), args.output)
     if args.chart:
@@ -646,8 +532,7 @@ def _multicore_command(args: argparse.Namespace,
                        settings: ExperimentSettings,
                        jobs: int,
                        policy: ExecutionPolicy,
-                       journal: Optional[RunJournal],
-                       backend=None) -> int:
+                       journal: Optional[RunJournal]) -> int:
     """``repro-mnm multicore``: the contention sweep with explicit axes."""
     from repro.experiments.extensions import run_multicore_contention
     from repro.experiments.planning import (
@@ -694,7 +579,7 @@ def _multicore_command(args: argparse.Namespace,
         raise _fail(EXIT_BAD_VALUE,
                     f"--schedule-seed must be >= 0, got {args.schedule_seed}")
 
-    if jobs > 1 or journal is not None or backend is not None:
+    if jobs > 1 or journal is not None:
         from repro.experiments.executor import execute_tasks
 
         tasks = plan_multicore_contention(
@@ -702,8 +587,7 @@ def _multicore_command(args: argparse.Namespace,
             l2_policies=policies, schedule=args.schedule,
             schedule_seed=args.schedule_seed, design_names=names,
         )
-        execute_tasks(tasks, jobs, policy=policy, journal=journal,
-                      backend=backend)
+        execute_tasks(tasks, jobs, policy=policy, journal=journal)
     result = run_multicore_contention(
         settings, core_counts=core_counts, sharings=sharings,
         l2_policies=policies, schedule=args.schedule,
@@ -725,13 +609,10 @@ def _run_command(args: argparse.Namespace,
     """Execute the report/run/all/search commands (telemetry enabled)."""
     jobs = _resolve_jobs(args)
     policy = _build_policy(args)
-    backend = _build_backend(args, jobs)
     if args.command == "search":
-        return _search_command(args, settings, jobs, policy, journal,
-                               backend=backend)
+        return _search_command(args, settings, jobs, policy, journal)
     if args.command == "multicore":
-        return _multicore_command(args, settings, jobs, policy, journal,
-                                  backend=backend)
+        return _multicore_command(args, settings, jobs, policy, journal)
     if args.command == "report":
         from repro.experiments.report import generate_report
 
@@ -743,7 +624,6 @@ def _run_command(args: argparse.Namespace,
             jobs=jobs,
             policy=policy,
             journal=journal,
-            backend=backend,
         )
         with open(args.report_out, "w") as handle:
             handle.write(markdown)
@@ -760,13 +640,11 @@ def _run_command(args: argparse.Namespace,
 
     # A journaled run prefetches even with one job, so every planned pass
     # is durably recorded (and skipped on resume) the moment it finishes.
-    # An explicit backend prefetches too — that is where it executes.
-    if jobs > 1 or journal is not None or backend is not None:
+    if jobs > 1 or journal is not None:
         from repro.experiments.executor import prefetch_experiments
 
         prefetch_experiments(selected, settings, jobs,
-                             policy=policy, journal=journal,
-                             backend=backend)
+                             policy=policy, journal=journal)
 
     for experiment_id in selected:
         started = time.perf_counter()
@@ -820,9 +698,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _dispatch(args)
     except KeyboardInterrupt:
-        # Commands with run state (run/all/report/search, worker) handle
-        # the interrupt themselves; this catches the rest (list, check,
-        # obs, ...) so SIGTERM/Ctrl-C still exits 130 everywhere.
+        # Commands with run state (run/all/report/search) handle the
+        # interrupt themselves; this catches the rest (list, check, obs,
+        # ...) so SIGTERM/Ctrl-C still exits 130 everywhere.
         print("repro-mnm: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     finally:
@@ -831,9 +709,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     """Route one parsed invocation (SIGTERM already mapped to Ctrl-C)."""
-    if args.command == "worker":
-        return _worker_command(args)
-
     if args.command == "list":
         for experiment_id in experiment_ids():
             entry = get_experiment(experiment_id)
@@ -851,7 +726,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.power.budget import budget_table
 
         names = args.names or list(all_paper_design_names())
-        designs = [parse_design(name) for name in names]
+        try:
+            designs = [parse_design(name) for name in names]
+        except ValueError as exc:
+            raise _fail(EXIT_BAD_VALUE, str(exc))
         print(budget_table(paper_hierarchy_5level(), designs))
         return 0
 
@@ -888,6 +766,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                         f"(see 'repro-mnm list')")
 
     settings = _settings_from_args(args)
+    _check_output_paths(args)
     journal: Optional[RunJournal] = None
     cache_dir = args.cache_dir or None
     journal_dir = args.resume or args.run_dir

@@ -5,32 +5,29 @@
 though the passes are embarrassingly parallel.  This module plans the
 independent tasks (:mod:`repro.experiments.planning`), deduplicates
 them by cache key, skips whatever the pass cache / run journal already
-holds, and hands the remainder to a pluggable
+holds, and hands the remainder to an
 :class:`~repro.experiments.backends.base.ExecutorBackend`:
 
 * :class:`~repro.experiments.backends.inprocess.InProcessBackend` for
   ``--jobs 1`` — serial, with the retry policy applied in-process;
 * :class:`~repro.experiments.backends.pool.PoolBackend` for
   ``--jobs N`` — a local process pool with pool-rebuild/timeout/serial-
-  degradation handling;
-* :class:`~repro.experiments.backends.distributed.DistributedBackend`
-  for ``--backend distributed`` — a filesystem work queue served by
-  crash-safe ``repro-mnm worker`` processes claiming tasks via leases.
+  degradation handling.
 
 Determinism contract: the simulations are pure functions of their task
-spec, workers neither share state nor depend on scheduling, and every
-backend consumes results in a fixed (submission) order — so the same
-settings produce a bit-identical report for any ``--jobs`` value and
-any backend.  (Wall-clock profiler *timings* naturally vary between
-runs; the profiled unit counts do not.)
+spec, workers neither share state nor depend on scheduling, and both
+backends consume results in a fixed (submission) order — so the same
+settings produce a bit-identical report for any ``--jobs`` value.
+(Wall-clock profiler *timings* naturally vary between runs; the
+profiled unit counts do not.)
 
 Failure handling (see :mod:`repro.experiments.resilience` for policy):
 a task raising a *retryable* error is retried with deterministic
 backoff up to the policy's attempt budget — by the retry loop
-in-process, by pool rebuilds on the pool backend, by lease-expiry
-reassignment on the distributed backend; *fatal* errors abort the run
-wrapped in a :class:`~repro.experiments.resilience.TaskExecutionError`
-that names the task.  With a run journal
+in-process, by pool rebuilds on the pool backend; *fatal* errors abort
+the run wrapped in a
+:class:`~repro.experiments.resilience.TaskExecutionError` that names
+the task.  With a run journal
 (:mod:`repro.experiments.checkpoint`), every completed task is durably
 recorded the moment it finishes, so an interrupted run resumed with
 ``--resume`` recomputes only unfinished work.
@@ -39,9 +36,8 @@ The engine's own health is observable through ``executor.*`` counters
 (``executor.tasks.completed`` / ``.retried`` / ``.timeout`` /
 ``.failed`` / ``.recovered`` / ``.resumed``, ``executor.pool.broken`` /
 ``.rebuilds``, ``executor.serial_fallback``,
-``executor.serial.deadline_exceeded``) and, on the distributed backend,
-``queue.*`` counters — all excluded from the byte-identity contract,
-exactly like span timings.
+``executor.serial.deadline_exceeded``) — all excluded from the
+byte-identity contract, exactly like span timings.
 
 Decision tracing (``--trace-out``) is the one telemetry piece that is
 not parallel-safe — records from concurrent workers would interleave
@@ -51,28 +47,19 @@ nondeterministically — so the CLI forces ``--jobs 1`` when it is on.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (test seam)
 from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from repro import telemetry
 from repro.experiments.backends.base import ExecutorBackend, task_identity
-from repro.experiments.backends.inprocess import (
-    InProcessBackend,
-    execute_one_serial,
-)
-from repro.experiments.backends.pool import PoolBackend, run_task
+from repro.experiments.backends.inprocess import InProcessBackend
+from repro.experiments.backends.pool import PoolBackend
 from repro.experiments.base import ExperimentSettings
 from repro.experiments.checkpoint import RunJournal
 from repro.experiments.passcache import get_pass_cache
 from repro.experiments.planning import Task
 from repro.experiments.resilience import ExecutionPolicy
-from repro.testing.faults import configure_faults, resolve_fault_spec
-
-#: Backwards-compatible aliases for the pre-backend private surface.
-_task_identity = task_identity
-_run_task = run_task
-_execute_one_serial = execute_one_serial
+from repro.testing import faults
 
 
 def default_jobs() -> int:
@@ -100,7 +87,6 @@ def execute_tasks(
     jobs: int,
     policy: Optional[ExecutionPolicy] = None,
     journal: Optional[RunJournal] = None,
-    backend: Optional[ExecutorBackend] = None,
 ) -> int:
     """Run every not-yet-cached task and seed the pass cache.
 
@@ -110,9 +96,8 @@ def execute_tasks(
     directory's disk cache — are skipped, so the backend only sees
     genuinely new work.  ``policy`` controls retries/timeouts/
     degradation (default: 3 attempts, no timeout); ``journal`` makes
-    completion durable per task; ``backend`` overrides the default
-    routing (``jobs == 1`` → in-process, else a local pool).  Returns
-    the number of tasks computed.
+    completion durable per task.  ``jobs == 1`` runs in-process, more
+    jobs a local pool.  Returns the number of tasks computed.
     """
     cache = get_pass_cache()
     if not cache.enabled:
@@ -146,13 +131,12 @@ def execute_tasks(
     if not pending:
         return 0
 
-    if backend is None:
-        jobs = max(1, min(jobs, len(pending)))
-        backend = (InProcessBackend() if jobs == 1
-                   else PoolBackend(jobs=jobs))
-    fault_spec = resolve_fault_spec(pending[0].settings)
+    jobs = max(1, min(jobs, len(pending)))
+    backend: ExecutorBackend = (InProcessBackend() if jobs == 1
+                                else PoolBackend(jobs=jobs))
+    fault_spec = faults.resolve_fault_spec(pending[0].settings)
     if fault_spec:
-        configure_faults(fault_spec)
+        faults.configure_faults(fault_spec)
     try:
         with spans.span("executor.execute", tasks=len(pending),
                         backend=backend.name, jobs=jobs):
@@ -160,7 +144,7 @@ def execute_tasks(
                             fault_spec=fault_spec)
     finally:
         if fault_spec:
-            configure_faults(None)
+            faults.configure_faults(None)
     return len(pending)
 
 
@@ -194,7 +178,6 @@ def prefetch_experiments(
     jobs: int,
     policy: Optional[ExecutionPolicy] = None,
     journal: Optional[RunJournal] = None,
-    backend: Optional[ExecutorBackend] = None,
 ) -> int:
     """Precompute the selected experiments' passes with ``jobs`` workers.
 
@@ -205,4 +188,4 @@ def prefetch_experiments(
     """
     settings = settings or ExperimentSettings()
     return execute_tasks(plan_experiments(experiment_ids, settings), jobs,
-                         policy=policy, journal=journal, backend=backend)
+                         policy=policy, journal=journal)

@@ -17,9 +17,9 @@ Two tiers:
   the fingerprint's SHA-256, wrapped in a schema-versioned envelope so a
   cache written by an older layout is rejected (treated as a miss), never
   unpickled into the wrong shape.  The disk tier is a *shared store*
-  safe under concurrent multi-process writers — pool workers, queue
-  workers on other hosts, and the controller may all write the same
-  directory:
+  safe under concurrent multi-process writers — pool workers, the
+  parent and other runs sharing a ``--cache-dir`` may all write the
+  same directory:
 
   * writes land via temp file + ``os.link`` onto the final name —
     atomic and **single-writer-wins**: the first fully-written envelope

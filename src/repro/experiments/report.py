@@ -99,7 +99,6 @@ def generate_report(
     jobs: int = 1,
     policy=None,
     journal=None,
-    backend=None,
 ) -> str:
     """Run experiments and return the markdown report.
 
@@ -113,9 +112,7 @@ def generate_report(
     controls retries/timeouts/degradation; ``journal`` (a
     :class:`~repro.experiments.checkpoint.RunJournal`) records each
     completed pass durably so an interrupted report run can resume.  A
-    journaled run prefetches even with ``jobs=1``, as does an explicit
-    ``backend`` (an :class:`~repro.experiments.backends.base.
-    ExecutorBackend` — e.g. the distributed work-queue backend).
+    journaled run prefetches even with ``jobs=1``.
     """
     settings = settings or ExperimentSettings()
     if experiments is None:
@@ -125,14 +122,13 @@ def generate_report(
         ]
     logger = get_logger("report")
     spans = get_spans()
-    if jobs > 1 or journal is not None or backend is not None:
+    if jobs > 1 or journal is not None:
         from repro.experiments.executor import prefetch_experiments
 
         started = time.perf_counter()
         with spans.span("report.prefetch", jobs=jobs):
             computed = prefetch_experiments(experiments, settings, jobs,
-                                            policy=policy, journal=journal,
-                                            backend=backend)
+                                            policy=policy, journal=journal)
             if progress and computed:
                 # Progress lines carry the active span's name so
                 # ``repro-mnm obs show`` can align them to the timeline.

@@ -6,7 +6,7 @@ Three sections:
   proportional bar (worker-local spans are marked, since their clocks
   are not alignable to the parent's);
 * **slowest tasks** — the top-N task-ledger entries by elapsed time,
-  the first place to look for a straggling fleet;
+  the first place to look for a straggler;
 * **stragglers & retries** — every task that needed more than one
   attempt, plus the resilience events (retries, timeouts, pool rebuilds,
   serial degradation) in order.

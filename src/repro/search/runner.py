@@ -260,7 +260,6 @@ def run_search(
     top_k: int = 10,
     include_baselines: bool = True,
     chunk_size: int = 4,
-    backend=None,
 ) -> SearchReport:
     """Run one budget-constrained design search and return its report.
 
@@ -332,7 +331,7 @@ def run_search(
             state.tasks_planned += len(tasks)
             registry.counter("search.tasks.planned").inc(len(tasks))
             computed = execute_tasks(tasks, jobs, policy=policy,
-                                     journal=journal, backend=backend)
+                                     journal=journal)
             state.tasks_computed += computed
             registry.counter("search.tasks.computed").inc(computed)
             registry.counter("search.tasks.cache_hits").inc(
@@ -403,7 +402,7 @@ def run_search(
             state.tasks_planned += len(tasks)
             registry.counter("search.tasks.planned").inc(len(tasks))
             computed = execute_tasks(tasks, jobs, policy=policy,
-                                     journal=journal, backend=backend)
+                                     journal=journal)
             state.tasks_computed += computed
             registry.counter("search.tasks.computed").inc(computed)
             registry.counter("search.tasks.cache_hits").inc(

@@ -1,11 +1,11 @@
 """R009 — filesystem atomicity: durable state goes through blessed helpers.
 
-The crash-safety story (PR 3/8) rests on a small set of write idioms:
-temp-file + ``os.replace`` (atomic replace), and temp-file +
-``os.link`` (exclusive claim and first-writer-wins publication).  Those idioms now live in one place —
+The crash-safety story rests on two write idioms: temp-file +
+``os.replace`` (atomic replace) and temp-file + ``os.link``
+(first-writer-wins publication).  Those idioms live in one place —
 :mod:`repro.experiments.atomic` — and R009 keeps them there: inside the
 modules that own durable state (the pass cache, the run journal, the
-work-queue backends, the run manifest), a raw ``open(..., "w")`` is a
+execution backends, the run manifest), a raw ``open(..., "w")`` is a
 torn-file bug waiting for a SIGKILL.
 
 Flagged, inside the scoped modules only:
@@ -70,9 +70,8 @@ class AtomicityRule(Rule):
 
     rule_id = "R009"
     title = "durable writes must use repro.experiments.atomic helpers"
-    hint = ("use atomic.replace_atomic / publish_linked / "
-            "create_exclusive, or annotate with "
-            "'# repro: allow[R009] <why this write is crash-safe>'")
+    hint = ("use atomic.replace_atomic / publish_linked, or annotate "
+            "with '# repro: allow[R009] <why this write is crash-safe>'")
     suppression = "rationale"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
@@ -122,8 +121,7 @@ class AtomicityRule(Rule):
         yield self.finding(
             module, node,
             f"os.open with {'|'.join(written)} opens for writing outside "
-            "the blessed helpers (atomic.create_exclusive owns the "
-            "exclusive-claim idiom)",
+            "the blessed helpers in repro.experiments.atomic",
             requires_rationale=True)
 
 

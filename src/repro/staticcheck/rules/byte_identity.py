@@ -1,7 +1,7 @@
 """R008 — byte-identity hazards: no observable iteration over unordered data.
 
 The repo's strongest contract is that reports are byte-identical across
-``--jobs`` values, engines, and distributed workers.  Python's ``set``
+``--jobs`` values, engines, and resumed runs.  Python's ``set``
 iteration order depends on the per-process hash seed and insertion
 history, so *any* unordered collection whose iteration order becomes
 observable — a merge loop, a rendered report line, a journal record, a

@@ -24,10 +24,9 @@ Inside ``repro.experiments`` a second, finer DAG applies — the rings::
     registry / report / figures / tables / extensions   (presentation)
 
 The rings keep the execution engine honest: a backend (including a
-worker process importing its task spec from the queue) may pull the
-foundations, never the executor facade or the experiment registry — so
-``repro-mnm worker`` starts without dragging the figures/report stack
-into every fleet process.
+pool worker unpickling its task spec) may pull the foundations, never
+the executor facade or the experiment registry — so a worker process
+starts without dragging the figures/report stack in.
 
 Exempt: entry points (``cli.py`` / ``__main__.py``), the package root
 ``repro/__init__.py``, and package ``__init__`` facades at the ring

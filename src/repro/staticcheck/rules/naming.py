@@ -5,7 +5,7 @@ Observability only composes if names are predictable.  Two contracts:
 **Counter/gauge/histogram names** follow the documented dotted grammar
 (docs/ARCHITECTURE.md, "Run observatory"): at least two ``.``-separated
 segments, each ``[a-z][a-z0-9_]*`` — ``cache.pass.disk.write_race``,
-``queue.lease.claimed``, ``executor.serial_fallback``.  A name like
+``executor.tasks.retried``, ``executor.serial_fallback``.  A name like
 ``CacheHits`` or ``write race`` breaks every dashboard glob and the
 ``obs diff`` prefix grouping.  Dynamic names are handled structurally:
 f-strings and string concatenation are validated with each dynamic

@@ -11,9 +11,6 @@ whose dataclasses actually cross the process boundary:
 * ``repro.experiments.planning`` (``PassTask`` / ``CoreTask``),
 * ``repro.experiments.base`` (``ExperimentSettings`` rides inside every
   task),
-* ``repro.experiments.backends.queue`` (``WorkItem`` / ``Lease`` cross
-  the boundary twice: pickled into the work-queue directory, then
-  loaded by worker processes on any host sharing the filesystem),
 * ``repro.search.space`` (``SearchSpace`` / ``FamilySpace`` /
   ``DesignPoint``).
 
@@ -36,7 +33,6 @@ from repro.staticcheck.rules.base import Rule, is_dataclass, terminal_name
 BOUNDARY_MODULES: FrozenSet[str] = frozenset({
     "repro.experiments.planning",
     "repro.experiments.base",
-    "repro.experiments.backends.queue",
     "repro.search.space",
 })
 

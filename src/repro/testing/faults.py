@@ -3,8 +3,9 @@
 Chaos testing for :mod:`repro.experiments.executor`: prove that a worker
 that raises, hangs past its timeout, dies with ``os._exit`` or corrupts
 its disk-cache write costs a retried task — never the report.  The
-executor and :mod:`repro.experiments.passcache` expose two hook *sites*;
-this module decides, deterministically, whether a fault fires there.
+executor, :mod:`repro.experiments.passcache` and the run journal expose
+three hook *sites*; this module decides, deterministically, whether a
+fault fires there.
 
 Everything is a pure function of the spec and the hook's context — no
 wall clock, no global RNG — so a chaos run is exactly reproducible:
@@ -29,26 +30,14 @@ one object or a list — or a bare kind name as shorthand::
 Sites and kinds:
 
 =================  ==========================================================
-``task``           around each simulation task (pool worker, queue worker
-                   and serial paths alike): ``raise`` (an
-                   :class:`InjectedFault`, classified retryable), ``hang``
-                   (sleep ``hang_seconds``, for timeout tests), ``exit``
+``task``           around each simulation task (pool worker and serial
+                   paths alike): ``raise`` (an :class:`InjectedFault`,
+                   classified retryable), ``hang`` (sleep
+                   ``hang_seconds``, for timeout tests), ``exit``
                    (``os._exit`` — kills the worker, breaks the pool),
-                   ``interrupt`` (``KeyboardInterrupt``, for Ctrl-C tests),
-                   ``sigkill`` (``SIGKILL`` to the executing process — the
-                   fleet-scale crash: no cleanup, no release, the lease
-                   must lapse)
+                   ``interrupt`` (``KeyboardInterrupt``, for Ctrl-C tests)
 ``cache-write``    in the pass cache's disk store: ``corrupt`` truncates
                    and garbles the envelope bytes actually written
-``lease``          in a queue worker's heartbeat: ``stall`` skips every
-                   renewal for the selected task, so the lease expires
-                   mid-execution and another worker takes it over
-``claim``          in the work queue's claim path: ``steal`` treats a live
-                   lease as expired — a forced duplicate-claim race that
-                   first-writer-wins result commitment must absorb
-``queue-write``    in the work queue's task-file writer: ``torn`` writes
-                   only a prefix of the bytes (a controller crash
-                   mid-enqueue); readers must quarantine, never trust
 ``journal-write``  in the run journal's appender: ``torn`` appends a
                    truncated, newline-less entry (a crash mid-append);
                    ``--resume`` must skip it, count it and recompute
@@ -60,7 +49,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import signal
 import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -68,23 +56,17 @@ from typing import Optional, Tuple
 from repro.experiments.resilience import TransientTaskError
 
 #: Hook sites production code exposes.
-SITES = ("task", "cache-write", "lease", "claim", "queue-write",
-         "journal-write")
+SITES = ("task", "cache-write", "journal-write")
 
 #: Fault kinds, per site.
-TASK_KINDS = ("raise", "hang", "exit", "interrupt", "sigkill")
+TASK_KINDS = ("raise", "hang", "exit", "interrupt")
 CACHE_KINDS = ("corrupt",)
-LEASE_KINDS = ("stall",)
-CLAIM_KINDS = ("steal",)
 TORN_KINDS = ("torn",)
 
 #: site -> legal kinds (shorthand parsing and spec validation).
 SITE_KINDS = {
     "task": TASK_KINDS,
     "cache-write": CACHE_KINDS,
-    "lease": LEASE_KINDS,
-    "claim": CLAIM_KINDS,
-    "queue-write": TORN_KINDS,
     "journal-write": TORN_KINDS,
 }
 
@@ -103,7 +85,7 @@ class FaultSpec:
     """One deterministic fault rule.
 
     Attributes:
-        site: where the fault fires (``task`` or ``cache-write``).
+        site: where the fault fires (one of :data:`SITES`).
         kind: what happens (see module docstring).
         fail_attempts: a selected task faults on attempts
             ``1..fail_attempts`` and then succeeds — the knob that makes
@@ -174,15 +156,9 @@ def parse_fault_spec(text: str) -> Tuple[FaultSpec, ...]:
             return (FaultSpec(site="task", kind=text),)
         if text in CACHE_KINDS:
             return (FaultSpec(site="cache-write", kind=text),)
-        if text in LEASE_KINDS:
-            return (FaultSpec(site="lease", kind=text),)
-        if text in CLAIM_KINDS:
-            return (FaultSpec(site="claim", kind=text),)
-        # "torn" is ambiguous between queue-write and journal-write, so
-        # it has no shorthand: spell the site out in JSON.
+        # "torn" has no shorthand: spell the journal-write site out in JSON.
         raise ValueError(f"unknown fault shorthand {text!r}; expected one "
-                         f"of {TASK_KINDS + CACHE_KINDS + LEASE_KINDS + CLAIM_KINDS} "
-                         "or a JSON spec")
+                         f"of {TASK_KINDS + CACHE_KINDS} or a JSON spec")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -235,12 +211,6 @@ class FaultInjector:
                     f"injected interrupt (attempt {attempt})")
             elif spec.kind == "exit":
                 os._exit(spec.exit_code)
-            elif spec.kind == "sigkill":
-                # The fleet-scale crash: the kernel reaps the process
-                # before any finally/atexit runs.  A queue worker's lease
-                # stops renewing and must lapse; a pool worker breaks
-                # the pool exactly like ``exit`` does.
-                os.kill(os.getpid(), signal.SIGKILL)
 
     def should_corrupt(self, key: str) -> bool:
         """The ``cache-write`` site: whether to garble this write."""
@@ -251,28 +221,10 @@ class FaultInjector:
 
     def should_tear(self, site: str, key: str,
                     attempt: Optional[int] = None) -> bool:
-        """The ``queue-write``/``journal-write`` sites: truncate this write?"""
+        """The ``journal-write`` site: truncate this write?"""
         attempt = self.attempt if attempt is None else attempt
         return any(
             spec.site == site and spec.kind == "torn"
-            and spec.fires(key, attempt)
-            for spec in self.specs
-        )
-
-    def lease_stall(self, key: str, attempt: Optional[int] = None) -> bool:
-        """The ``lease`` site: should this task's heartbeat stop renewing?"""
-        attempt = self.attempt if attempt is None else attempt
-        return any(
-            spec.site == "lease" and spec.kind == "stall"
-            and spec.fires(key, attempt)
-            for spec in self.specs
-        )
-
-    def claim_steal(self, key: str, attempt: Optional[int] = None) -> bool:
-        """The ``claim`` site: treat a live lease as expired?"""
-        attempt = self.attempt if attempt is None else attempt
-        return any(
-            spec.site == "claim" and spec.kind == "steal"
             and spec.fires(key, attempt)
             for spec in self.specs
         )

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.experiments.cli import (
+    EXIT_BAD_PATH,
     EXIT_BAD_VALUE,
     EXIT_UNKNOWN_EXPERIMENT,
     main,
@@ -86,6 +87,26 @@ class TestExitCodes:
         self._expect(["run", "fig10", *SMALL,
                       "--resume", str(tmp_path / "run"), "--no-cache"],
                      EXIT_BAD_VALUE, "--resume and --no-cache", capsys)
+
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--instructions", "0"], "at least 1000 instructions"),
+        (["--warmup-fraction", "1.5"], "warmup_fraction"),
+        (["--workloads", "twolf,nosuch"], "--workloads: unknown"),
+    ])
+    def test_bad_settings_value(self, argv, fragment, capsys):
+        self._expect(["run", "fig10", *SMALL, *argv],
+                     EXIT_BAD_VALUE, fragment, capsys)
+
+    def test_unknown_design_name(self, capsys):
+        self._expect(["designs", "NOSUCH"], EXIT_BAD_VALUE, "NOSUCH", capsys)
+
+    @pytest.mark.parametrize("flag", ["--output", "--json", "--report-out"])
+    def test_missing_output_directory(self, flag, tmp_path, capsys):
+        """A results path that cannot be written fails before the run."""
+        path = str(tmp_path / "missing" / "out")
+        self._expect(["report", "--skip-heavy", *SMALL, flag, path],
+                     EXIT_BAD_PATH, f"{flag} directory does not exist",
+                     capsys)
 
 
 class TestResume:

@@ -1,11 +1,11 @@
 """SIGTERM parity regression tests (subprocess level).
 
-Fleet schedulers (systemd, Kubernetes, Slurm) stop processes with
-SIGTERM, not Ctrl-C.  The CLI must treat both identically: flush the
-journal, write a ``status: interrupted`` manifest, exit 130 — for the
-controller and for ``repro-mnm worker`` alike.  These tests drive real
-subprocesses because signal disposition is process-global state that
-in-process tests cannot exercise honestly.
+Schedulers (systemd, Kubernetes, Slurm, CI timeouts) stop processes
+with SIGTERM, not Ctrl-C.  The CLI must treat both identically: flush
+the journal, write a ``status: interrupted`` manifest, exit 130 — with
+or without a worker pool.  These tests drive real subprocesses because
+signal disposition is process-global state that in-process tests cannot
+exercise honestly.
 """
 
 import json
@@ -18,7 +18,6 @@ import time
 import pytest
 
 import repro
-from repro.experiments.backends.queue import WorkQueue
 from repro.experiments.cli import (
     EXIT_INTERRUPTED,
     _install_sigterm_handler,
@@ -142,24 +141,6 @@ class TestPoolSigterm:
         assert proc.returncode == EXIT_INTERRUPTED
         assert b"interrupted" in stderr
         assert survivors == []
-
-
-class TestWorkerSigterm:
-    def test_sigterm_while_polling_exits_130(self, tmp_path):
-        queue_dir = str(tmp_path / "queue")
-        WorkQueue.create(queue_dir)
-        proc = spawn(["worker", "--queue", queue_dir])
-        try:
-            time.sleep(2.0)  # let it reach the polling loop
-            assert proc.poll() is None, proc.communicate(timeout=5)
-            proc.send_signal(signal.SIGTERM)
-            _, stderr = proc.communicate(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-        assert proc.returncode == EXIT_INTERRUPTED
-        assert b"worker interrupted" in stderr
 
 
 class TestHandlerPlumbing:

@@ -68,12 +68,10 @@ def test_single_job_never_touches_the_process_pool(monkeypatch):
     the serial path.  A pool constructor that explodes proves it.
     """
     import repro.experiments.backends.pool as pool_module
-    import repro.experiments.executor as executor_module
 
     def _no_pool(*_args, **_kwargs):
         raise AssertionError("jobs == 1 must not create a process pool")
 
-    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", _no_pool)
     monkeypatch.setattr(pool_module, "ProcessPoolExecutor", _no_pool)
     tasks = plan_experiments(["fig02"], TINY)
     assert execute_tasks(tasks, jobs=1) == len(

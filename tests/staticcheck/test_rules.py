@@ -124,13 +124,13 @@ class TestR002Layering:
     def test_experiments_ring_edges(self):
         # Downward ring edge: the executor may import a backend.
         down = _check(
-            "from repro.experiments.backends import queue\n",
+            "from repro.experiments.backends import pool\n",
             module="repro.experiments.executor", rule="R002")
         assert down == []
         # Upward ring edge: a backend must not import the executor.
         up = _check(
             "from repro.experiments import executor\n",
-            module="repro.experiments.backends.queue", rule="R002")
+            module="repro.experiments.backends.pool", rule="R002")
         assert _ids(up) == ["R002"]
         assert "ring" in up[0].message
         # The registry ring sits on top and may import everything.
