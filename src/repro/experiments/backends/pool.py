@@ -79,9 +79,9 @@ def run_task(
     the returned snapshots contain exactly this task's recordings, and
     its own pass cache configured like the parent's — with a shared
     ``--cache-dir`` the worker itself persists the result to disk.  The
-    fault spec and attempt number are forwarded
-    explicitly so chaos injection works under any multiprocessing start
-    method and converges as the parent retries.
+    fault spec and attempt number are forwarded explicitly so chaos
+    injection works under any multiprocessing start method and converges
+    as the parent retries.
     """
     configure_pass_cache(cache_dir=cache_dir, enabled=cache_enabled)
     injector = faults.configure_faults(fault_spec) if fault_spec else None

@@ -25,9 +25,8 @@ Failure handling (see :mod:`repro.experiments.resilience` for policy):
 a task raising a *retryable* error is retried with deterministic
 backoff up to the policy's attempt budget — by the retry loop
 in-process, by pool rebuilds on the pool backend; *fatal* errors abort
-the run wrapped in a
-:class:`~repro.experiments.resilience.TaskExecutionError` that names
-the task.  With a run journal
+the run wrapped in a :class:`~repro.experiments.resilience.
+TaskExecutionError` that names the task.  With a run journal
 (:mod:`repro.experiments.checkpoint`), every completed task is durably
 recorded the moment it finishes, so an interrupted run resumed with
 ``--resume`` recomputes only unfinished work.
