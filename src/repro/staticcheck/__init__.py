@@ -14,12 +14,6 @@ Layout:
   JSON reporters;
 * :mod:`repro.staticcheck.rules` — the repo-specific rules R001–R010
   (module rules plus cross-module *project* rules like R007);
-* :mod:`repro.staticcheck.runner` — the accelerated orchestration:
-  content-addressed result cache, parallel analysis, ``--diff``
-  reverse-import-closure narrowing;
-* :mod:`repro.staticcheck.baseline` — the warn-then-ratchet committed
-  baseline;
-* :mod:`repro.staticcheck.sarif` — the SARIF 2.1.0 reporter;
 * :mod:`repro.staticcheck.cli` — the ``repro-mnm check`` subcommand.
 
 The package deliberately imports nothing else from :mod:`repro` (it

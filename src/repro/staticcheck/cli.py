@@ -5,18 +5,17 @@ judge a tree even when the tree itself is broken.  Exit codes mirror
 the main CLI's documented table (:mod:`repro.experiments.cli`):
 
 ====  ====================================================
-0     clean — no unbaselined error-severity findings
+0     clean — no error-severity findings
 3     a given path does not exist
-4     invalid ``--rules`` / ``--diff`` / ``--baseline`` value
+4     invalid ``--rules`` or format value
 7     the checker reported findings
 ====  ====================================================
 
 A file the checker cannot load (syntax error, null bytes, undecodable
 or unreadable) is itself a finding (E001/E002) and exits 7 — never a
 crash; an empty package is a clean exit 0.  Warning-severity findings
-are printed but do not affect the exit code (that is what lets a new
-rule land warn-only and ratchet later; see the baseline workflow in
-docs/ARCHITECTURE.md).
+are printed but do not affect the exit code, so a new rule can land
+warn-only before it is promoted to ``error``.
 """
 
 from __future__ import annotations
@@ -25,15 +24,14 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.staticcheck.baseline import (
-    load_baseline,
-    split_baselined,
-    write_baseline,
+from repro.staticcheck.engine import (
+    check_paths,
+    has_errors,
+    iter_python_files,
+    render_json,
+    render_text,
 )
-from repro.staticcheck.engine import has_errors, render_json, render_text
-from repro.staticcheck.runner import run_analysis
 from repro.staticcheck.rules import rule_table, rules_for
-from repro.staticcheck.sarif import render_sarif
 
 #: Mirrors repro.experiments.cli's exit-code table (kept literal here so
 #: the checker never has to import the experiment stack).
@@ -42,7 +40,7 @@ EXIT_BAD_PATH = 3
 EXIT_BAD_VALUE = 4
 EXIT_FINDINGS = 7
 
-FORMATS = ("text", "json", "sarif")
+FORMATS = ("text", "json")
 
 
 def default_check_root() -> str:
@@ -62,10 +60,6 @@ def _print_rule_table(out) -> None:
 
 def run_check(paths: Sequence[str], fmt: str = "text",
               rules_csv: str = "", list_rules: bool = False,
-              cache_dir: Optional[str] = None, jobs: int = 1,
-              diff_rev: Optional[str] = None,
-              baseline_path: Optional[str] = None,
-              write_baseline_file: bool = False,
               out=None, err=None) -> int:
     """Execute one check invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -88,51 +82,19 @@ def run_check(paths: Sequence[str], fmt: str = "text",
         print(f"repro-mnm: error: unknown format {fmt!r} "
               f"(expected one of {', '.join(FORMATS)})", file=err)
         return EXIT_BAD_VALUE
-    if write_baseline_file and not baseline_path:
-        print("repro-mnm: error: --write-baseline needs --baseline FILE",
-              file=err)
-        return EXIT_BAD_VALUE
 
     targets: List[str] = list(paths) if paths else [default_check_root()]
     try:
-        result = run_analysis(targets, rules, cache_dir=cache_dir,
-                              jobs=jobs, diff_rev=diff_rev)
+        files = iter_python_files(targets)
+        findings = check_paths(files, rules)
     except FileNotFoundError as exc:
         print(f"repro-mnm: error: no such path: {exc.args[0]}", file=err)
         return EXIT_BAD_PATH
-    except ValueError as exc:
-        print(f"repro-mnm: error: {exc}", file=err)
-        return EXIT_BAD_VALUE
-
-    findings = result.findings
-    if write_baseline_file:
-        write_baseline(baseline_path, findings)
-        print(f"repro-mnm check: wrote baseline with {len(findings)} "
-              f"finding(s) to {baseline_path}", file=out)
-        return EXIT_OK
-
-    baselined = 0
-    if baseline_path:
-        try:
-            grandfathered = load_baseline(baseline_path)
-        except FileNotFoundError:
-            print(f"repro-mnm: error: no such baseline: {baseline_path} "
-                  "(create one with --write-baseline)", file=err)
-            return EXIT_BAD_PATH
-        except (OSError, ValueError) as exc:
-            print(f"repro-mnm: error: {exc}", file=err)
-            return EXIT_BAD_VALUE
-        findings, baselined = split_baselined(findings, grandfathered)
 
     if fmt == "json":
-        print(render_json(findings, checked_files=result.checked_files,
-                          analyzed_files=result.analyzed_files,
-                          baselined=baselined,
-                          cache_stats=result.cache_stats), file=out)
-    elif fmt == "sarif":
-        print(render_sarif(findings), file=out)
+        print(render_json(findings, checked_files=len(files)), file=out)
     else:
-        print(render_text(findings, baselined=baselined), file=out)
+        print(render_text(findings), file=out)
     return EXIT_FINDINGS if has_errors(findings) else EXIT_OK
 
 
@@ -147,33 +109,13 @@ def add_check_arguments(parser) -> None:
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table (id, severity, "
                              "suppression policy, title) and exit")
-    parser.add_argument("--cache-dir", type=str, default=None,
-                        help="directory for the per-file result cache "
-                             "(content-addressed; safe to share across "
-                             "branches and CI runs)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel analysis processes (0 = all CPUs; "
-                             "output is byte-identical for every value)")
-    parser.add_argument("--diff", type=str, default=None, metavar="REV",
-                        help="only analyse files changed since REV plus "
-                             "their reverse import closure")
-    parser.add_argument("--baseline", type=str, default=None, metavar="FILE",
-                        help="subtract the grandfathered findings recorded "
-                             "in FILE; only new findings fail the build")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="record the current findings into --baseline "
-                             "FILE and exit 0 (the ratchet starting point)")
 
 
 def run_check_args(args, out=None, err=None) -> int:
     """Dispatch a parsed ``check`` namespace (shared with the main CLI)."""
     return run_check(
         args.paths, fmt=args.format, rules_csv=args.rules,
-        list_rules=args.list_rules, cache_dir=args.cache_dir,
-        jobs=args.jobs, diff_rev=args.diff,
-        baseline_path=args.baseline,
-        write_baseline_file=args.write_baseline,
-        out=out, err=err)
+        list_rules=args.list_rules, out=out, err=err)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

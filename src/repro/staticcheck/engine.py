@@ -66,7 +66,7 @@ LOAD_ERROR_ID = "E002"
 
 #: Severity levels, in escalation order.  ``warning`` findings are
 #: reported but do not affect the exit code — the landing state for a
-#: new rule before it is ratcheted to ``error``.
+#: new rule before it is promoted to ``error``.
 SEVERITIES = ("warning", "error")
 
 
@@ -75,8 +75,8 @@ class Finding:
     """One rule violation, anchored to a file position.
 
     Sorting is total and content-only (path, line, column, rule id,
-    message), so reports are byte-stable across runs and ``--jobs``-like
-    reorderings can never change the output.
+    message), so reports are byte-stable across runs and the order in
+    which rules run can never change the output.
     """
 
     rule_id: str
@@ -112,19 +112,6 @@ class Finding:
         if self.hint:
             payload["hint"] = self.hint
         return payload
-
-    def fingerprint(self) -> str:
-        """Line-independent identity, used by the committed baseline.
-
-        Deliberately excludes line/column so reformatting or unrelated
-        edits above a grandfathered finding do not churn the baseline;
-        path + rule + message is stable until the violation itself
-        changes.
-        """
-        import hashlib
-
-        basis = "\x1f".join((self.rule_id, self.path, self.message))
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -434,30 +421,6 @@ def _apply_suppressions(module: ModuleInfo,
     return survivors
 
 
-def split_rules(rules) -> Tuple[list, list]:
-    """Partition a rule list into (module rules, project rules)."""
-    from repro.staticcheck.rules.base import ProjectRule
-
-    module_rules = [rule for rule in rules
-                    if not isinstance(rule, ProjectRule)]
-    project_rules = [rule for rule in rules
-                     if isinstance(rule, ProjectRule)]
-    return module_rules, project_rules
-
-
-def check_one_module(module: ModuleInfo, module_rules) -> List[Finding]:
-    """Run every module rule over one file; suppressed findings removed.
-
-    This is the per-file unit of work the result cache and the parallel
-    analyser both build on: its output is a pure function of the file's
-    bytes and the rule sources.
-    """
-    raw: List[Finding] = []
-    for rule in module_rules:
-        raw.extend(rule.check(module))
-    return _apply_suppressions(module, raw)
-
-
 def check_project_rules(modules: Sequence[ModuleInfo],
                         project_rules) -> List[Finding]:
     """Run cross-module rules over the full analysed set."""
@@ -486,10 +449,16 @@ def check_project_rules(modules: Sequence[ModuleInfo],
 
 def check_modules(modules: Sequence[ModuleInfo], rules) -> List[Finding]:
     """Run every rule over every module; suppressed findings removed."""
-    module_rules, project_rules = split_rules(rules)
+    from repro.staticcheck.rules.base import ProjectRule
+
+    module_rules = [rule for rule in rules
+                    if not isinstance(rule, ProjectRule)]
+    project_rules = [rule for rule in rules if isinstance(rule, ProjectRule)]
     findings: List[Finding] = []
     for module in modules:
-        findings.extend(check_one_module(module, module_rules))
+        raw = [finding for rule in module_rules
+               for finding in rule.check(module)]
+        findings.extend(_apply_suppressions(module, raw))
     findings.extend(check_project_rules(modules, project_rules))
     return sorted(findings, key=Finding.sort_key)
 
@@ -554,39 +523,27 @@ def has_errors(findings: Sequence[Finding]) -> bool:
     return any(finding.severity == "error" for finding in findings)
 
 
-def render_text(findings: Sequence[Finding],
-                baselined: int = 0) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """Human-readable report: one sorted line per finding."""
-    suffix = f" ({baselined} baselined)" if baselined else ""
     if not findings:
-        return f"repro-mnm check: no findings{suffix}"
+        return "repro-mnm check: no findings"
     lines = [finding.render() for finding in findings]
     plural = "s" if len(findings) != 1 else ""
-    lines.append(f"repro-mnm check: {len(findings)} finding{plural}{suffix}")
+    lines.append(f"repro-mnm check: {len(findings)} finding{plural}")
     return "\n".join(lines)
 
 
 def render_json(findings: Sequence[Finding],
-                checked_files: Optional[int] = None,
-                analyzed_files: Optional[int] = None,
-                baselined: int = 0,
-                cache_stats: Optional[Dict[str, int]] = None) -> str:
+                checked_files: Optional[int] = None) -> str:
     """Machine-readable report (stable key order, sorted findings).
 
-    Schema ``repro-staticcheck/v2``: v1 plus per-finding ``severity``,
-    the analysed-file count (``--diff`` analyses a subset of the
-    checked tree), the baselined-findings count and the result-cache
-    hit/miss counters.
+    Schema ``repro-staticcheck/v3``: the findings, each with its
+    ``severity``, and the number of files checked when it is given.
     """
     payload = {
-        "schema": "repro-staticcheck/v2",
+        "schema": "repro-staticcheck/v3",
         "findings": [finding.to_dict() for finding in findings],
-        "baselined": baselined,
     }
     if checked_files is not None:
         payload["checked_files"] = checked_files
-    if analyzed_files is not None:
-        payload["analyzed_files"] = analyzed_files
-    if cache_stats is not None:
-        payload["cache"] = dict(cache_stats)
     return json.dumps(payload, indent=2, sort_keys=True)

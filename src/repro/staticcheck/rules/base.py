@@ -17,10 +17,10 @@ class Rule:
     fields so rule code stays close to the invariant it states.
 
     ``severity`` is either ``"error"`` (counts toward exit 7) or
-    ``"warning"`` (reported only — the landing state for a rule being
-    ratcheted in).  ``suppression`` summarises the rule's suppression
-    policy for ``--list-rules`` and the docs table: ``"allow"`` (a bare
-    marker silences it), ``"rationale"`` (the marker must carry a
+    ``"warning"`` (reported only — the landing state for a new rule).
+    ``suppression`` summarises the rule's suppression policy for
+    ``--list-rules`` and the docs table: ``"allow"`` (a bare marker
+    silences it), ``"rationale"`` (the marker must carry a
     why-this-is-safe sentence), ``"partial"`` (some of its findings are
     unsuppressible), or ``"no"`` (never suppressible).
     """
@@ -55,21 +55,12 @@ class ProjectRule(Rule):
 
     Module rules prove per-file properties; contract rules like R007
     must relate a dataclass in one file to the fingerprint function
-    that consumes it in another.  A ProjectRule names the modules it
-    cares about in ``interest_modules`` (dotted names) so the engine
-    can always parse them fresh — even under ``--diff`` or a warm
-    result cache, cross-module conclusions are never replayed from a
-    per-file cache entry.
+    that consumes it in another.
 
     ``check_project`` receives a :class:`ProjectContext` and yields
     findings anchored wherever the violation is best fixed (for R007,
     the dataclass field that fails to reach the fingerprint).
     """
-
-    #: Dotted module names this rule reasons over.  The engine
-    #: guarantees these are loaded (when present on disk) regardless of
-    #: which files the current invocation was asked to analyse.
-    interest_modules: tuple = ()
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         return iter(())

@@ -97,15 +97,6 @@ class CacheKeyRule(ProjectRule):
                  ) -> None:
         self.bindings = bindings
 
-    @property
-    def interest_modules(self) -> Tuple[str, ...]:  # type: ignore[override]
-        names: List[str] = []
-        for binding in self.bindings:
-            for dotted in (binding.builder_module, binding.dataclass_module):
-                if dotted not in names:
-                    names.append(dotted)
-        return tuple(names)
-
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for binding in self.bindings:
             yield from self._check_binding(project, binding)

@@ -10,6 +10,8 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.staticcheck import check_paths
 from repro.staticcheck.cli import (
@@ -72,10 +74,8 @@ class TestOutputModes:
         code, out, _ = _run([str(dirty)], fmt="json")
         assert code == EXIT_FINDINGS
         payload = json.loads(out)
-        assert payload["schema"] == "repro-staticcheck/v2"
+        assert payload["schema"] == "repro-staticcheck/v3"
         assert payload["checked_files"] == 1
-        assert payload["analyzed_files"] == 1
-        assert payload["baselined"] == 0
         assert [f["rule"] for f in payload["findings"]] == ["R005"]
         assert [f["severity"] for f in payload["findings"]] == ["error"]
 
@@ -116,4 +116,21 @@ class TestEntryPoints:
         dirty.write_text("assert True\n")
         assert repro_mnm(["check", str(dirty)]) == EXIT_FINDINGS
         assert repro_mnm(["check", PACKAGE_ROOT]) == EXIT_OK
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--cache-dir", "d"], ["--jobs", "2"], ["--diff", "HEAD"],
+        ["--baseline", "b.json"], ["--write-baseline"],
+        ["--format", "sarif"],
+    ], ids=["cache-dir", "jobs", "diff", "baseline", "write-baseline",
+            "sarif"])
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys, flags):
+        from repro.experiments.cli import main as repro_mnm
+
+        clean = tmp_path / "clean.py"
+        clean.write_text("x = 1\n")
+        for entry_point, argv in ((main, []), (repro_mnm, ["check"])):
+            with pytest.raises(SystemExit) as excinfo:
+                entry_point([*argv, *flags, str(clean)])
+            assert excinfo.value.code == 2
         capsys.readouterr()

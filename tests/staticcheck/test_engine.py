@@ -102,7 +102,7 @@ class TestReporters:
         text = render_text(findings)
         assert "R005" in text and text.endswith("2 findings")
         payload = json.loads(render_json(findings, checked_files=1))
-        assert payload["schema"] == "repro-staticcheck/v2"
+        assert payload["schema"] == "repro-staticcheck/v3"
         assert payload["checked_files"] == 1
         assert [f["line"] for f in payload["findings"]] == [1, 2]
 
