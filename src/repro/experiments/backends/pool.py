@@ -222,6 +222,8 @@ class PoolBackend:
                             run_task, task, attempts[index], flags,
                             cache.cache_dir, cache.enabled, fault_spec)
                     except (BrokenProcessPool, RuntimeError):
+                        if not pool_broken:
+                            registry.counter("executor.pool.broken").inc()
                         pool_broken = True
                         next_round.append((index, task))
                         continue
@@ -258,7 +260,10 @@ class PoolBackend:
                         next_round.append((index, task))
                         continue
                     except BrokenProcessPool:
-                        registry.counter("executor.pool.broken").inc()
+                        # One collapse fails every future still in the
+                        # pool: count the pool once, the tasks as spans.
+                        if not pool_broken:
+                            registry.counter("executor.pool.broken").inc()
                         spans.event("executor.pool_broken", task=task_id,
                                     attempt=attempts[index])
                         pool_broken = True
