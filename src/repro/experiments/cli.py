@@ -28,11 +28,12 @@ one-line message instead of a raw traceback:
 0     success
 2     usage error (argparse: unknown flag, missing argument)
 3     bad path (``--cache-dir``/``--resume``/output directory,
-      a ``check`` path)
+      a ``check`` path, an unreadable ``telemetry summary`` file)
 4     invalid value (``--instructions``, ``--warmup-fraction``,
       ``--workloads``, ``--retries``, ``--task-timeout``,
       ``--trace-sample``, ``--jobs``, ``--rules``, a design name,
-      conflicting flags)
+      a ``telemetry summary`` file that is not a telemetry
+      artifact, conflicting flags)
 5     unknown experiment id
 6     a simulation task failed after exhausting its retries
 7     ``repro-mnm check`` reported static-analysis findings
@@ -749,12 +750,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"repro-mnm: error: cannot read {args.path}: "
                   f"{exc.strerror or exc}", file=sys.stderr)
-            return 1
+            return EXIT_BAD_PATH
         except ValueError:
             print(f"repro-mnm: error: {args.path} is not a telemetry "
                   "artifact (expected a metrics/profile JSON or a "
                   "decision-trace JSONL)", file=sys.stderr)
-            return 1
+            return EXIT_BAD_VALUE
         return 0
 
     if args.command == "run":

@@ -109,13 +109,13 @@ class TestErrorPaths:
         assert "--metrics-out" in capsys.readouterr().err
 
     def test_summary_missing_file(self, capsys):
-        assert main(["telemetry", "summary", "/nonexistent/m.json"]) == 1
+        assert main(["telemetry", "summary", "/nonexistent/m.json"]) == 3
         assert "cannot read" in capsys.readouterr().err
 
     def test_summary_non_telemetry_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.txt"
         path.write_text("not json at all\n")
-        assert main(["telemetry", "summary", str(path)]) == 1
+        assert main(["telemetry", "summary", str(path)]) == 4
         assert "not a telemetry artifact" in capsys.readouterr().err
 
 
