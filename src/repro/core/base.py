@@ -20,8 +20,20 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as _np
+
+#: Event actions of :meth:`MissFilter.replay`: the hook each one reaches.
+REPLACE, PLACE, INVALIDATE = 0, 1, 2
+
+#: Replay segments at or below this many rows are answered with scalar
+#: ``is_definite_miss`` calls instead of ``query_many`` — a numpy
+#: round-trip costs more than a handful of scalar lookups.
+SCALAR_SEGMENT = 16
+
+#: The scalar hooks a vectorized :meth:`MissFilter.replay` stands in for.
+_HOOKS = ("is_definite_miss", "on_place", "on_replace", "on_invalidate")
 
 
 class Placement(enum.Enum):
@@ -104,6 +116,63 @@ class MissFilter(ABC):
         return _np.asarray([miss(int(granule)) for granule in granule_addrs],
                            dtype=bool)
 
+    def replay(self, bounds, actions, granules, queries):
+        """Apply an event stream, answering the queries interleaved with it.
+
+        ``queries`` holds one granule per row.  Event ``i`` is
+        ``actions[i]`` (:data:`REPLACE`, :data:`PLACE` or
+        :data:`INVALIDATE`, reaching :meth:`on_replace`, :meth:`on_place`
+        or :meth:`on_invalidate`) on granule ``granules[i]``, applied once
+        rows ``[0, bounds[i])`` are answered: row ``q`` sees every event
+        with ``bounds[i] <= q``.  Bounds never decrease.  Returns one
+        :meth:`is_definite_miss` answer per row, as a numpy bool array,
+        and leaves the filter as the scalar hooks would.
+
+        This default is the in-class oracle every vectorized override must
+        equal, in answers and in final state (pinned by
+        ``tests/core/test_replay.py``).  Between two events every answer
+        is constant, so a segment is one :meth:`query_many` call; a
+        segment of at most :data:`SCALAR_SEGMENT` rows uses
+        :meth:`is_definite_miss` instead — the element-wise agreement of
+        the two makes them interchangeable.
+        """
+        bounds, actions, granules, queries = event_columns(
+            bounds, actions, granules, queries)
+        hooks = (self.on_replace, self.on_place, self.on_invalidate)
+        # Indexing a memoryview yields Python ints without a list copy.
+        query_ints = memoryview(queries)
+        rows = queries.shape[0]
+        answers = _np.zeros(rows, dtype=bool)
+        position = 0
+        query = self.query_many
+        miss = self.is_definite_miss
+        for bound, action, granule in zip(memoryview(bounds),
+                                          memoryview(actions),
+                                          memoryview(granules)):
+            if bound > position:
+                if bound - position <= SCALAR_SEGMENT:
+                    for row in range(position, bound):
+                        if miss(query_ints[row]):
+                            answers[row] = True
+                else:
+                    answers[position:bound] = query(queries[position:bound])
+                position = bound
+            hooks[action](granule)
+        if position < rows:
+            answers[position:] = query(queries[position:])
+        return answers
+
+    def _keeps_hooks_of(self, family: type) -> bool:
+        """Whether every scalar hook in effect is ``family``'s own.
+
+        A vectorized :meth:`replay` reimplements ``family``'s hooks, so it
+        holds only while nothing (a subclass, an instance attribute)
+        replaces one of them; otherwise the override must fall back to
+        the default loop, which calls the hooks in effect.
+        """
+        return all(getattr(getattr(self, hook), "__func__", None)
+                   is getattr(family, hook) for hook in _HOOKS)
+
     @property
     @abstractmethod
     def storage_bits(self) -> int:
@@ -139,6 +208,81 @@ class NullFilter(MissFilter):
     @property
     def name(self) -> str:
         return "NULL"
+
+
+def event_columns(*columns):
+    """:meth:`MissFilter.replay`'s arguments as contiguous int64 arrays."""
+    return tuple(_np.ascontiguousarray(column, dtype=_np.int64)
+                 for column in columns)
+
+
+class CounterStream:
+    """A table of counters under a stream of ±1 updates, replayed in batch.
+
+    ``start`` holds the counters before the stream.  Update ``i`` adds
+    ``deltas[i]`` (+1 or -1) to counter ``slots[i]`` once rows
+    ``[0, bounds[i])`` are answered; bounds never decrease.  With ``cap``
+    a counter that reaches ``cap``, or starts there, stays there (the
+    sticky saturation of a TMNM counter); without it the counter is an
+    exact count.  Below the cap a counter is its start plus the running
+    sum of its updates, so one stable sort by slot and a grouped
+    cumulative sum give every counter's value after every update, and a
+    grouped running "reached the cap" flag pins the saturated ones.
+
+    :attr:`exact` is False when a decrement would take an unsaturated
+    counter below zero: the scalar hooks keep it at zero instead, which a
+    running sum cannot express, so the caller must fall back to
+    :meth:`MissFilter.replay`.  :attr:`final_slots` and
+    :attr:`final_values` are the counters the stream touched and their
+    values after it; nothing is written to ``start``.
+    """
+
+    def __init__(self, start, slots, deltas, bounds,
+                 cap: Optional[int] = None) -> None:
+        self._start = start
+        self.exact = True
+        self._values = _np.empty(0, dtype=_np.int64)
+        self.final_slots = self.final_values = self._values
+        if not slots.shape[0]:
+            return
+        order = _np.argsort(slots, kind="stable")
+        self._slots = slots[order]
+        ordered = deltas[order]
+        sums = _np.cumsum(ordered)
+        first = _np.concatenate(([True], self._slots[1:] != self._slots[:-1]))
+        heads = _np.flatnonzero(first)
+        group = _np.cumsum(first) - 1
+        values = sums + (start[self._slots[heads]]
+                         - (sums[heads] - ordered[heads]))[group]
+        if cap is None:
+            self.exact = not (values < 0).any()
+        else:
+            reached = (values >= cap) | (start[self._slots] >= cap)
+            last = _np.maximum.accumulate(
+                _np.where(reached, _np.arange(values.shape[0]), -1))
+            saturated = last >= heads[group]
+            self.exact = not ((values < 0) & ~saturated).any()
+            values[saturated] = cap
+        self._values = values
+        # Within a slot the events keep their order, so (slot, bound)
+        # keys ascend; a query row beyond the last bound sees the same
+        # events as the last bound.
+        self._last_bound = int(bounds[-1])
+        self._stride = self._last_bound + 1
+        self._keys = self._slots * self._stride + bounds[order]
+        tails = _np.append(heads[1:], values.shape[0]) - 1
+        self.final_slots = self._slots[tails]
+        self.final_values = values[tails]
+
+    def at(self, slots, rows):
+        """Counter ``slots[j]`` as row ``rows[j]`` sees it."""
+        if not self._values.shape[0]:
+            return self._start[slots]
+        keys = slots * self._stride + _np.minimum(rows, self._last_bound)
+        position = _np.searchsorted(self._keys, keys, side="right") - 1
+        clipped = _np.maximum(position, 0)
+        seen = (position >= 0) & (self._slots[clipped] == slots)
+        return _np.where(seen, self._values[clipped], self._start[slots])
 
 
 @dataclass

@@ -39,12 +39,12 @@ one-sided where the paper's prose is ambiguous:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Tuple
 
 import numpy as _np
 
-from repro.core.base import MissFilter
+from repro.core.base import REPLACE, CounterStream, MissFilter, event_columns
 from repro.core.tmnm import COUNTER_BITS, CounterTable
 
 
@@ -123,6 +123,17 @@ class VirtualTagFinder:
     def reset(self) -> None:
         """Invalidate every register (cache flush)."""
         self.registers = [_Register() for _ in range(self.num_registers)]
+
+    def copy(self) -> "VirtualTagFinder":
+        """An independent finder in the same state."""
+        twin = VirtualTagFinder(self.num_registers, self.high_bits)
+        twin.registers = [replace(register) for register in self.registers]
+        return twin
+
+    def state(self) -> List[Tuple[int, int, bool]]:
+        """Every register's ``(value, mask_len, valid)``, by index."""
+        return [(register.value, register.mask_len, register.valid)
+                for register in self.registers]
 
     @property
     def storage_bits(self) -> int:
@@ -226,6 +237,117 @@ class CMNM(MissFilter):
         for table in self.tables:
             table.reset()
         self._placed_under.clear()
+
+    def replay(self, bounds, actions, granules, queries):
+        """Vectorized :meth:`MissFilter.replay`.
+
+        One pass over the placements, with the finder's answer memoised
+        per high part until the finder mutates, gives each placement's
+        register and the finder's *epochs*: its registers after each
+        mutation and the bound where it happened.  A replacement
+        decrements under the register of its granule's previous event
+        when that event was a placement (the ``_placed_under`` rule), so
+        the counter tables replay as one
+        :class:`~repro.core.base.CounterStream` keyed by (register, low
+        bits).  A row is a *maybe* when some register valid and matching
+        in its epoch has a nonzero count.  Falls back to the default
+        loop, before writing any state, when a scalar hook is overridden
+        or a replacement would find an unsaturated counter at zero.
+        """
+        if not self._keeps_hooks_of(CMNM):
+            return super().replay(bounds, actions, granules, queries)
+        bounds, actions, granules, queries = event_columns(
+            bounds, actions, granules, queries)
+        low_bits = self.low_bits
+        low_mask = (1 << low_bits) - 1
+        placed = actions != REPLACE
+        finder = self.finder.copy()
+        registers = _np.full(granules.shape[0], -1, dtype=_np.int64)
+        registers[placed], epoch_bounds, epochs = self._place_all(
+            finder, granules[placed] >> low_bits, bounds[placed])
+
+        # Each event's previous event on the same granule (-1: none).
+        order = _np.argsort(granules, kind="stable")
+        repeat = granules[order[1:]] == granules[order[:-1]]
+        previous = _np.full(granules.shape[0], -1, dtype=_np.int64)
+        previous[order[1:][repeat]] = order[:-1][repeat]
+        replaced = _np.flatnonzero(~placed & (previous >= 0))
+        before = previous[replaced]
+        registers[replaced] = _np.where(placed[before], registers[before], -1)
+        if self._placed_under:
+            first = _np.flatnonzero(~placed & (previous < 0))
+            lookup = self._placed_under.get
+            registers[first] = [lookup(granule, -1)
+                                for granule in granules[first].tolist()]
+
+        counted = _np.flatnonzero(registers >= 0)
+        stream = CounterStream(
+            _np.concatenate([table.counts for table in self.tables]),
+            (registers[counted] << low_bits) | (granules[counted] & low_mask),
+            _np.where(placed[counted], 1, -1), bounds[counted],
+            self.tables[0].counter_max)
+        if not stream.exact:
+            return super().replay(bounds, actions, granules, queries)
+
+        rows = _np.arange(queries.shape[0])
+        high = queries >> low_bits
+        low = queries & low_mask
+        epoch = _np.searchsorted(epoch_bounds, rows, side="right") - 1
+        state = _np.asarray(epochs, dtype=_np.int64)  # epoch, register, field
+        maybe = _np.zeros(queries.shape[0], dtype=bool)
+        for index in range(self.num_registers):
+            value, mask, valid = state[:, index].T
+            if not valid.any():
+                continue
+            mask = mask[epoch]
+            hits = _np.flatnonzero(
+                (valid[epoch] != 0)
+                & ((mask >= self.high_bits)
+                   | ((high >> mask) == (value[epoch] >> mask))))
+            maybe[hits] |= stream.at((index << low_bits) | low[hits],
+                                     hits) != 0
+
+        self.finder.registers = finder.registers
+        for index, table in enumerate(self.tables):
+            mine = (stream.final_slots >> low_bits) == index
+            table.counts[stream.final_slots[mine] & low_mask] = (
+                stream.final_values[mine])
+        # A granule's last event decides its ``_placed_under`` entry.
+        last = _np.ones(granules.shape[0], dtype=bool)
+        last[order[:-1][repeat]] = False
+        for granule in granules[last & ~placed].tolist():
+            self._placed_under.pop(granule, None)
+        kept = last & placed
+        self._placed_under.update(zip(granules[kept].tolist(),
+                                      registers[kept].tolist()))
+        return ~maybe
+
+    @staticmethod
+    def _place_all(finder: VirtualTagFinder, highs, bounds):
+        """Place ``highs`` in order on ``finder``.
+
+        Returns each placement's register, then the finder's epochs: the
+        bound of each mutation (0 first, for the state before any) and
+        the :meth:`VirtualTagFinder.state` after it.
+        """
+        registers = []
+        epoch_bounds = [0]
+        epochs = [finder.state()]
+        memo: Dict[int, int] = {}
+        for high, bound in zip(highs.tolist(), bounds.tolist()):
+            register = memo.get(high)
+            if register is None:
+                matches = finder.matching(high)
+                if matches:
+                    register = matches[0]
+                else:
+                    register = finder.place(high)
+                    memo.clear()
+                    epoch_bounds.append(bound)
+                    epochs.append(finder.state())
+                memo[high] = register
+            registers.append(register)
+        return registers, epoch_bounds, epochs
 
     @property
     def storage_bits(self) -> int:

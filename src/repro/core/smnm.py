@@ -33,11 +33,19 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.base import MissFilter
+from repro.core.base import REPLACE, CounterStream, MissFilter, event_columns
 
 #: Bit distance between consecutive checker slices (paper: slices start at
 #: the 1st, 7th and 13th bits of the block address).
 CHECKER_STRIDE = 6
+
+
+def offsets_suffix(offsets: Sequence[int]) -> str:
+    """Name suffix of slice offsets: empty for the default ``0, 6, 12,
+    ...``, else ``@`` and the offsets (``@0,3``)."""
+    if list(offsets) == [CHECKER_STRIDE * k for k in range(len(offsets))]:
+        return ""
+    return "@" + ",".join(str(offset) for offset in offsets)
 
 
 def sum_hash(value: int, sum_width: int) -> int:
@@ -138,13 +146,22 @@ class SumChecker:
 
     def query_many(self, granule_addrs):
         """Vectorized :meth:`is_definite_miss` over an int64 granule array."""
+        return self._counts_view[self.sums_of(granule_addrs)] == 0
+
+    def sums_of(self, granule_addrs):
+        """Vectorized sum hash of every granule of an int64 array."""
         values = _np.asarray(granule_addrs, dtype=_np.int64) >> self.bit_offset
         totals = None
         for table, mask in self._tables_np:
             chunk = table[values & mask]
             totals = chunk if totals is None else totals + chunk
             values = values >> _CHUNK_BITS
-        return self._counts_view[totals] == 0
+        return totals
+
+    @property
+    def counts(self):
+        """Zero-copy int64 view of the per-sum state; writes go through."""
+        return self._counts_view
 
     def on_place(self, granule_addr: int) -> None:
         """Record a placed block's sum."""
@@ -229,6 +246,54 @@ class SMNM(MissFilter):
         for checker in self.checkers:
             checker.reset()
 
+    def replay(self, bounds, actions, granules, queries):
+        """Vectorized :meth:`MissFilter.replay`.
+
+        A flip-flop is set from the first placement of its sum on
+        (replacements never clear it), so a row is a miss when its sum
+        was clear before the stream and its first placement comes later.
+        The counting variant replays as a
+        :class:`~repro.core.base.CounterStream` without a cap.  A row is
+        a miss when any checker proves it.  Falls back to the default
+        loop, before writing any state, when a scalar hook is overridden
+        or a counting replacement would find its count at zero.
+        """
+        if not self._keeps_hooks_of(SMNM):
+            return super().replay(bounds, actions, granules, queries)
+        bounds, actions, granules, queries = event_columns(
+            bounds, actions, granules, queries)
+        rows = _np.arange(queries.shape[0])
+        answers = _np.zeros(queries.shape[0], dtype=bool)
+        finals = []
+        placed = actions != REPLACE
+        deltas = _np.where(placed, 1, -1)
+        placed_granules, placed_bounds = granules[placed], bounds[placed]
+        for checker in self.checkers:
+            query_sums = checker.sums_of(queries)
+            if self.counting:
+                stream = CounterStream(checker.counts,
+                                       checker.sums_of(granules), deltas,
+                                       bounds)
+                if not stream.exact:
+                    return super().replay(bounds, actions, granules, queries)
+                answers |= stream.at(query_sums, rows) == 0
+                finals.append((checker, stream.final_slots,
+                               stream.final_values))
+            else:
+                sums, first = _np.unique(checker.sums_of(placed_granules),
+                                         return_index=True)
+                # The first row that reads each flip-flop set; the row
+                # count for one that stays clear.
+                set_from = _np.full(checker.counts.shape[0],
+                                    queries.shape[0], dtype=_np.int64)
+                set_from[sums] = placed_bounds[first]
+                set_from[checker.counts != 0] = 0
+                answers |= set_from[query_sums] > rows
+                finals.append((checker, sums, 1))
+        for checker, slots, values in finals:
+            checker.counts[slots] = values
+        return answers
+
     @property
     def storage_bits(self) -> int:
         return sum(c.storage_bits for c in self.checkers)
@@ -251,5 +316,10 @@ class SMNM(MissFilter):
 
     @property
     def name(self) -> str:
-        suffix = "c" if self.counting else ""
-        return f"SMNM_{self.sum_width}x{self.replication}{suffix}"
+        """``SMNM_{width}x{replication}``, then ``c`` for the counting
+        variant and ``@{offsets}`` for slice offsets other than the
+        default ones — a name per configuration."""
+        counting = "c" if self.counting else ""
+        offsets = offsets_suffix(
+            [checker.bit_offset for checker in self.checkers])
+        return f"SMNM_{self.sum_width}x{self.replication}{counting}{offsets}"

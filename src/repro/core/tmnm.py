@@ -27,8 +27,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as _np
 
-from repro.core.base import MissFilter
-from repro.core.smnm import CHECKER_STRIDE
+from repro.core.base import REPLACE, CounterStream, MissFilter, event_columns
+from repro.core.smnm import CHECKER_STRIDE, offsets_suffix
 
 #: Counter width used by the paper ("We use a counter of 3 bits").
 COUNTER_BITS = 3
@@ -95,7 +95,16 @@ class CounterTable:
     def query_many(self, granule_addrs):
         """Vectorized :meth:`is_definite_miss` over an int64 granule array."""
         granules = _np.asarray(granule_addrs, dtype=_np.int64)
-        return self._view[(granules >> self.bit_offset) & self._index_mask] == 0
+        return self._view[self.slots_of(granules)] == 0
+
+    def slots_of(self, granules):
+        """Vectorized slot index of every granule of an int64 array."""
+        return (granules >> self.bit_offset) & self._index_mask
+
+    @property
+    def counts(self):
+        """Zero-copy int64 view of the counters; writes go through."""
+        return self._view
 
     def reset(self) -> None:
         """Zero every counter (cache flush)."""
@@ -164,12 +173,46 @@ class TMNM(MissFilter):
         for table in self.tables:
             table.reset()
 
+    def replay(self, bounds, actions, granules, queries):
+        """Vectorized :meth:`MissFilter.replay`: a running sum per counter.
+
+        Each table replays as one :class:`~repro.core.base.CounterStream`
+        (+1 per placement or invalidation, -1 per replacement, sticky at
+        the maximum), and a row is a miss when any table's counter reads
+        zero at it.  Falls back to the default loop, before writing any
+        state, when a scalar hook is overridden or a replacement would
+        find an unsaturated counter at zero.
+        """
+        if not self._keeps_hooks_of(TMNM):
+            return super().replay(bounds, actions, granules, queries)
+        bounds, actions, granules, queries = event_columns(
+            bounds, actions, granules, queries)
+        deltas = _np.where(actions == REPLACE, -1, 1)
+        rows = _np.arange(queries.shape[0])
+        answers = _np.zeros(queries.shape[0], dtype=bool)
+        finals = []
+        for table in self.tables:
+            stream = CounterStream(table.counts, table.slots_of(granules),
+                                   deltas, bounds, table.counter_max)
+            if not stream.exact:
+                return super().replay(bounds, actions, granules, queries)
+            answers |= stream.at(table.slots_of(queries), rows) == 0
+            finals.append((table, stream.final_slots, stream.final_values))
+        for table, slots, values in finals:
+            table.counts[slots] = values
+        return answers
+
     @property
     def storage_bits(self) -> int:
         return sum(t.storage_bits for t in self.tables)
 
     @property
     def name(self) -> str:
-        suffix = ("" if self.counter_bits == COUNTER_BITS
-                  else f"w{self.counter_bits}")
-        return f"TMNM_{self.index_bits}x{self.replication}{suffix}"
+        """``TMNM_{N}x{replication}``, then ``w{bits}`` for a counter
+        width other than 3 and ``@{offsets}`` for slice offsets other than
+        the default ones — a name per configuration."""
+        width = ("" if self.counter_bits == COUNTER_BITS
+                 else f"w{self.counter_bits}")
+        offsets = offsets_suffix(
+            [table.bit_offset for table in self.tables])
+        return f"TMNM_{self.index_bits}x{self.replication}{width}{offsets}"

@@ -20,13 +20,17 @@ core).
 :class:`~repro.core.machine.MostlyNoMachine` (or
 :class:`~repro.multicore.mnm.MulticoreMNM`) on the walked hierarchy, which
 is never accessed again, and replay the recorded events against its
-filter banks.  Filter state only changes at events, so between
-consecutive events every query is answered by one vectorized
-:meth:`~repro.core.base.MissFilter.query_many` call over the whole
-segment.  Non-RMNM components replay per bank (a cache's own events are
-sparse, so segments are long); an RMNM replays once per geometry and
-owner domain over the domain's event stream, and each lane's bits are
-then extracted vectorially.
+filter banks.  A non-RMNM component takes its bank's whole event stream
+(warm-up first) and query rows in one
+:meth:`~repro.core.base.MissFilter.replay` call.  The default applies
+each event through the scalar hooks and, since filter state only
+changes at events, answers each segment between two events with one
+vectorized :meth:`~repro.core.base.MissFilter.query_many` call; TMNM,
+SMNM and CMNM override it with numpy replays of their counters,
+flip-flops and finder, which the default loop pins as their oracle.  An
+RMNM is a set-associative cache with a replacement policy, so it
+replays scalar, once per geometry and owner domain over the domain's
+event stream, and each lane's bits are then extracted vectorially.
 
 **Phase C (account, :class:`Accounting`).**  Timing, energy and coverage
 depend only on the (kind, supplier, miss-bit pattern) equivalence class of
@@ -70,7 +74,13 @@ from repro.analysis.coverage import CoverageMeter
 from repro.analysis.timing import AccessTimingModel
 from repro.cache.cache import AccessKind, Cache
 from repro.cache.hierarchy import AccessOutcome, CacheHierarchy, HierarchyConfig
-from repro.core.base import FilterStats, MissFilter
+from repro.core.base import (
+    INVALIDATE,
+    PLACE,
+    SCALAR_SEGMENT,
+    FilterStats,
+    MissFilter,
+)
 from repro.core.hybrid import CompositeFilter
 from repro.core.machine import MNMDesign, MostlyNoMachine
 from repro.core.rmnm import RMNMLane
@@ -95,15 +105,6 @@ _FLOAT_FIELDS = ("cache_probe_nj", "miss_probe_nj", "refill_nj", "mnm_nj")
 
 #: References per chunk of the energy fold (bounds its scratch memory).
 _ENERGY_CHUNK = 1024
-
-#: Segments at or below this length are answered with scalar
-#: ``is_definite_miss`` calls instead of ``query_many`` — a numpy
-#: round-trip costs more than a handful of scalar lookups.
-_SCALAR_SEGMENT = 16
-
-#: The event action of another core's event, as a private bank sees it;
-#: every other event's action is its recorded ``is_place`` bit.
-INVALIDATE = 2
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +325,9 @@ class Replay:
     constantly across the paper's design line-up (a TMNM size appears
     standalone *and* inside hybrids, placement variants share every
     filter) — share one replay.  The memo key includes the type, the
-    paper-style name (which encodes the geometry) and the storage bits as
-    a defensive fingerprint of the remaining parameters.
+    paper-style name (which encodes the configuration: geometry, a
+    non-default counter width, non-default slice offsets) and the storage
+    bits as a defensive fingerprint.
     """
 
     def __init__(self, recording: Recording) -> None:
@@ -420,26 +422,8 @@ class Replay:
             actions[event_cores != owner] = INVALIDATE
         return actions
 
-    # Event iterators zip memoryviews: they yield Python ints one at a
-    # time, without materialising a list per column.
-
-    def _bank_events(self, cache_index: int, owner: Optional[int],
-                     warm: bool):
-        """One bank's (bound, action, first granule) events, in order
-        (``(action, first)`` pairs over the warm-up)."""
-        span = slice(None, self.warm) if warm else slice(self.warm, None)
-        codes = self.event_codes[span]
-        mine = _np.flatnonzero((codes >> 1) == cache_index)
-        event_cores = (self.event_cores[span][mine] if owner is not None
-                       else None)
-        actions = memoryview(self._actions(codes[mine], event_cores, owner))
-        firsts = memoryview(self.event_blocks[span][mine].astype(_np.int64)
-                            * self.fanouts[cache_index])
-        if warm:
-            return zip(actions, firsts)
-        bounds = self._bounds(self.event_ordinals[span][mine], cache_index,
-                              owner)
-        return zip(memoryview(bounds), actions, firsts)
+    # The RMNM replay iterates zipped memoryviews: they yield Python ints
+    # one at a time, without materialising a list per column.
 
     def _domain_events(self, owner: Optional[int], lane_of: List[int],
                        warm: bool):
@@ -469,60 +453,32 @@ class Replay:
     # -- replays ----------------------------------------------------------------
 
     def _replay_component(self, cache_index: int, owner: Optional[int],
-                          component: MissFilter,
-                          invalidate: Callable[[int], None]
-                          ) -> "_np.ndarray":
-        """Train one filter on warm-up, then run the segmented batch replay.
+                          component: MissFilter, lone: bool) -> "_np.ndarray":
+        """One filter's answers on its bank's rows, from
+        :meth:`~repro.core.base.MissFilter.replay` over the bank's events.
 
-        Between two state-changing events every answer is constant, so the
-        whole segment is one vectorized :meth:`query_many` call; events
-        apply scalar, exactly as the interpreter's listeners would
-        (``invalidate`` is the bank's handler for another core's event).
-        Very short segments (miss-heavy streams have many) fall back to the
-        scalar oracle :meth:`is_definite_miss` — the element-wise-agreement
-        contract makes the two paths interchangeable — because a numpy
-        round-trip costs more than a handful of scalar calls.
+        Warm-up events come first, with bound 0 (their ordinal is -1).
+        Another core's event reaches a ``lone`` filter as an invalidate and
+        any other component as a place, as the interpreter's listeners
+        dispatch it.  A block of ``fanout`` granules is that many events,
+        in granule order.
         """
-        targets = (component.on_replace, component.on_place, invalidate)
+        mine = _np.flatnonzero((self.event_codes >> 1) == cache_index)
+        actions = self._actions(
+            self.event_codes[mine],
+            self.event_cores[mine] if owner is not None else None, owner)
+        if not lone:
+            actions[actions == INVALIDATE] = PLACE
+        bounds = self._bounds(self.event_ordinals[mine], cache_index, owner)
         fanout = self.fanouts[cache_index]
-        for action, first_granule in self._bank_events(cache_index, owner,
-                                                       True):
-            target = targets[action]
-            if fanout == 1:
-                target(first_granule)
-            else:
-                for granule_addr in range(first_granule,
-                                          first_granule + fanout):
-                    target(granule_addr)
+        granules = self.event_blocks[mine].astype(_np.int64) * fanout
+        if fanout > 1:
+            bounds = _np.repeat(bounds, fanout)
+            actions = _np.repeat(actions, fanout)
+            granules = (_np.repeat(granules, fanout)
+                        + _np.tile(_np.arange(fanout), mine.shape[0]))
         _rows, bank_granules = self.rows(cache_index, owner)
-        # Indexing a memoryview yields Python ints without a list copy.
-        granule_ints = memoryview(bank_granules)
-        rows_served = bank_granules.shape[0]
-        answers = _np.zeros(rows_served, dtype=bool)
-        position = 0
-        query = component.query_many
-        miss = component.is_definite_miss
-        for bound, action, first_granule in self._bank_events(
-                cache_index, owner, False):
-            if bound > position:
-                if bound - position <= _SCALAR_SEGMENT:
-                    for row in range(position, bound):
-                        if miss(granule_ints[row]):
-                            answers[row] = True
-                else:
-                    answers[position:bound] = query(
-                        bank_granules[position:bound])
-                position = bound
-            target = targets[action]
-            if fanout == 1:
-                target(first_granule)
-            else:
-                for granule_addr in range(
-                        first_granule, first_granule + fanout):
-                    target(granule_addr)
-        if position < rows_served:
-            answers[position:] = query(bank_granules[position:])
-        return answers
+        return component.replay(bounds, actions, granules, bank_granules)
 
     def _replay_rmnm(self, rmnm, owner: Optional[int],
                      lane_of: List[int]) -> "_np.ndarray":
@@ -558,7 +514,7 @@ class Replay:
         for bound, cache_index, action, first_granule in (
                 self._domain_events(owner, lane_of, False)):
             if bound > position:
-                if bound - position <= _SCALAR_SEGMENT:
+                if bound - position <= SCALAR_SEGMENT:
                     for row in range(position, bound):
                         replaced[row] = bits_of(all_ints[row])
                 else:
@@ -621,9 +577,8 @@ class Replay:
                component.storage_bits)
         answers = self._component_answers.get(key)
         if answers is None:
-            answers = self._replay_component(
-                cache_index, owner, component,
-                component.on_invalidate if lone else component.on_place)
+            answers = self._replay_component(cache_index, owner, component,
+                                             lone)
             self._component_answers[key] = answers
         return answers
 

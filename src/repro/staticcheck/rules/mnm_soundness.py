@@ -21,6 +21,11 @@ shut:
   is part of the soundness surface (the fast engine answers whole
   replay segments through it), and an override whose scalar oracle
   lives in a different class can silently drift from it;
+* likewise a filter subclass that overrides ``replay`` without defining
+  ``is_definite_miss``, ``on_place`` and ``on_replace`` in the same
+  class is flagged: the fast engine applies whole event streams through
+  the batched replay, whose oracle is the default loop over those
+  hooks (and over ``query_many``, paired with ``is_definite_miss``);
 * a base-less class that quacks like a filter (defines ``on_place``
   plus either ``is_definite_miss`` or ``query_many``) is flagged:
   wired in by duck typing it would dodge every soundness test keyed
@@ -47,6 +52,9 @@ from repro.staticcheck.rules.base import (
 
 #: The MissFilter query contract (abstract methods + storage property).
 CONTRACT = ("is_definite_miss", "on_place", "on_replace", "storage_bits")
+
+#: The scalar hooks a ``replay`` override must define beside it.
+REPLAY_ORACLE = ("is_definite_miss", "on_place", "on_replace")
 
 _ABSTRACT_DECORATORS = {"abstractmethod", "abstractproperty"}
 
@@ -156,16 +164,19 @@ class MNMSoundnessRule(Rule):
 
     def _check_batched_pairing(self, module: ModuleInfo,
                                cls: ast.ClassDef) -> Iterator[Finding]:
-        """A ``query_many`` override needs its scalar oracle in-class.
+        """A ``query_many`` or ``replay`` override needs its scalar
+        oracle in-class.
 
-        The batched path is part of the soundness surface (the fast
-        engine answers whole replay segments through it); an override
-        whose ``is_definite_miss`` lives in a *different* class — e.g. a
-        subclass of a concrete filter re-vectorizing only the batch —
-        can drift from the scalar semantics without any test noticing.
-        ``MostlyNoMachine`` itself is the audited machine-level base and
-        is excluded (its batch is defined over ``query``, not a scalar
-        filter method).
+        The batched paths are part of the soundness surface (the fast
+        engine applies whole event streams through ``replay``, whose
+        default answers segments through ``query_many``); an override
+        whose scalar hooks live in a *different* class — e.g. a subclass
+        of a concrete filter re-vectorizing only the batch — can drift
+        from the scalar semantics without any test noticing.
+        ``query_many`` pairs with ``is_definite_miss``; ``replay`` with
+        :data:`REPLAY_ORACLE`.  ``MostlyNoMachine`` itself is the audited
+        machine-level base and is excluded (its batch is defined over
+        ``query``, not a scalar filter method).
         """
         if cls.name == "MostlyNoMachine" or _is_abstract(cls):
             return
@@ -176,6 +187,13 @@ class MNMSoundnessRule(Rule):
                 f"{cls.name} overrides query_many without an in-class "
                 "is_definite_miss — the batched path has no scalar "
                 "oracle beside it to stay element-wise equal to")
+        missing = [name for name in REPLAY_ORACLE if name not in defined]
+        if "replay" in defined and missing:
+            yield self.finding(
+                module, cls,
+                f"{cls.name} overrides replay without an in-class "
+                f"{', '.join(missing)} — the batched replay has no scalar "
+                "oracle beside it to stay equal to")
 
     # -------------------------------------------------- duck-typed filters
 

@@ -15,7 +15,10 @@ import pytest
 
 from repro import telemetry
 from repro.cache.presets import paper_hierarchy_2level, paper_hierarchy_5level
-from repro.core.presets import parse_design
+from repro.core.machine import MNMDesign
+from repro.core.presets import parse_design, smnm_design, tmnm_design
+from repro.core.smnm import SMNM
+from repro.core.tmnm import TMNM
 from repro.simulate import run_reference_pass
 from repro.workloads import get_trace, workload_names
 
@@ -114,6 +117,27 @@ def test_engines_emit_identical_metrics():
     finally:
         telemetry.reset()
     assert fast_counters == interp_counters
+
+
+@pytest.mark.parametrize("paper, custom", [
+    (tmnm_design(10, 2), lambda _context: TMNM(10, 2, offsets=[0, 3])),
+    (smnm_design(10, 2), lambda _context: SMNM(10, 2, offsets=[0, 2])),
+], ids=["tmnm", "smnm"])
+def test_components_differing_only_in_offsets_replay_apart(paper, custom):
+    """Replays are shared by configuration: a filter whose slice offsets
+    differ from a paper design's must not get that design's answers when
+    both are in one pass."""
+    hierarchy = paper_hierarchy_5level()
+    fetch_block = hierarchy.tiers[0].configs[0].block_size
+    references = list(get_trace("mcf", 6000, 1).memory_references(
+        fetch_block))
+    designs = [paper, MNMDesign(name="CUSTOM", default_factories=(custom,))]
+    interp, fast = (
+        run_reference_pass(references, hierarchy, designs,
+                           workload_name="mcf", warmup=len(references) // 4,
+                           engine=engine)
+        for engine in ("interp", "fast"))
+    assert _snapshot(fast) == _snapshot(interp)
 
 
 def test_empty_reference_stream_raises_on_both_engines():

@@ -745,6 +745,50 @@ class TestR006MNMSoundness:
         )
         assert findings == []
 
+    def test_filter_subclass_replay_without_scalar_hooks_flagged(self):
+        """A batched replay stands in for the scalar hooks; with the hooks
+        in another class it can drift from them unnoticed."""
+        findings = _check(
+            """\
+            from repro.core.tmnm import TMNM
+
+            class TunedTMNM(TMNM):
+                def is_definite_miss(self, granule_addr):
+                    return super().is_definite_miss(granule_addr)
+
+                def replay(self, bounds, actions, granules, queries):
+                    return [False] * len(queries)
+            """,
+            rule="R006",
+        )
+        assert _ids(findings) == ["R006"]
+        assert "replay" in findings[0].message
+        assert "on_place, on_replace" in findings[0].message
+
+    def test_filter_subclass_replay_with_scalar_hooks_ok(self):
+        findings = _check(
+            """\
+            from repro.core.base import MissFilter
+            from repro.core.tmnm import TMNM
+
+            class PairedTMNM(TMNM):
+                def is_definite_miss(self, granule_addr):
+                    return super().is_definite_miss(granule_addr)
+
+                def on_place(self, granule_addr):
+                    super().on_place(granule_addr)
+
+                def on_replace(self, granule_addr):
+                    super().on_replace(granule_addr)
+
+                def replay(self, bounds, actions, granules, queries):
+                    return MissFilter.replay(self, bounds, actions,
+                                             granules, queries)
+            """,
+            rule="R006",
+        )
+        assert findings == []
+
     def test_duck_filter_via_query_many_flagged(self):
         """The batched entry point alone is enough to quack like a
         filter — wiring it in would dodge the ABC-keyed soundness tests."""
