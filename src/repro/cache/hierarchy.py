@@ -26,6 +26,9 @@ from repro.cache.cache import AccessKind, Cache, CacheConfig, CacheSide
 #: Supplier value meaning "the request went all the way to main memory".
 MEMORY_TIER: Optional[int] = None
 
+_INSTRUCTION, _LOAD, _STORE = (AccessKind.INSTRUCTION, AccessKind.LOAD,
+                               AccessKind.STORE)
+
 
 @dataclass(frozen=True)
 class TierConfig:
@@ -293,19 +296,34 @@ class CacheHierarchy:
 
     # --------------------------------------------------------------- access
 
-    def access(self, address: int, kind: AccessKind) -> AccessOutcome:
+    def access(self, address: int, kind: AccessKind,
+               start: int = 1) -> AccessOutcome:
         """Walk the hierarchy for one reference and update cache state.
 
-        Tiers are probed front to back until one hits (or memory supplies
-        the block); the block is then filled into every missing tier on the
-        way back, firing place/replace events that the MNM observes.
+        Tiers are probed front to back from ``start`` until one hits (or
+        memory supplies the block); the block is then filled into every
+        missing tier from ``start`` on the way back, firing place/replace
+        events that the MNM observes.  A ``start`` past 1 continues a
+        reference that missed every closer tier, whose caches were
+        simulated elsewhere (the kernel computes a direct-mapped level 1 in
+        batch); those caches are left untouched.  A ``kind`` that is not an
+        :class:`AccessKind` raises ``KeyError(kind)``.
         """
-        route = (self._instruction_route if kind is AccessKind.INSTRUCTION
-                 else self._data_route)
-        write = kind is AccessKind.STORE
+        # Identity checks: hashing an Enum member runs Python code.
+        if kind is _INSTRUCTION:
+            route = self._instruction_route
+            write = False
+        elif kind is _LOAD:
+            route = self._data_route
+            write = False
+        elif kind is _STORE:
+            route = self._data_route
+            write = True
+        else:
+            raise KeyError(kind)
         supplier: Optional[int] = MEMORY_TIER
-        tier = 0
-        for cache in route:
+        tier = start - 1
+        for cache in route[tier:]:
             tier += 1
             if cache.probe(address, write=write):
                 supplier = tier
@@ -314,7 +332,7 @@ class CacheHierarchy:
         fill_limit = len(route) if supplier is MEMORY_TIER else supplier - 1
         # Refill farthest-first: the block lands in the outer levels before
         # the inner ones, mirroring the return path of the data.
-        for tier in range(fill_limit, 0, -1):
+        for tier in range(fill_limit, start - 1, -1):
             cache = route[tier - 1]
             evicted = cache.fill(address, dirty=write and tier == 1)
             if self.writeback and evicted is not None and cache.last_evicted_dirty:

@@ -10,11 +10,18 @@ real :class:`~repro.cache.hierarchy.CacheHierarchy` (or
 :class:`~repro.multicore.hierarchy.MulticoreHierarchy`) over the reference
 stream exactly as the interpreter does (including warm-up and the
 statistics resets), but with recording listeners on every tracked cache
-instead of filter listeners.  The result is flat integer arrays: per
-reference the address, access-kind code and supplier code (and the
-issuing core), and per event the reference ordinal, cache and block of
-the ordered place/replace stream each cache produced (and the active
-core).
+instead of filter listeners.  When every level-1 cache is direct-mapped
+(the paper's 4 KB L1s), :func:`record` computes level 1 in numpy — an
+access hits when the previous access to its set was to the same block —
+installs its final state and statistics in the real caches, and walks
+only its misses through the hierarchy, from tier 2.  That is exact
+because the recorded hierarchy is non-inclusive and writes nothing back,
+so each tier's state depends on its own accesses only, and level 1 is
+never tracked, so it fires no recorded event.  The result is flat integer
+arrays: per reference the address, access-kind code and supplier code
+(and the issuing core), and per event the reference ordinal, cache and
+block of the ordered place/replace stream each cache produced (and the
+active core).
 
 **Phase B (replay, :class:`Replay`).**  For each design, build a real
 :class:`~repro.core.machine.MostlyNoMachine` (or
@@ -30,7 +37,9 @@ SMNM and CMNM override it with numpy replays of their counters,
 flip-flops and finder, which the default loop pins as their oracle.  An
 RMNM is a set-associative cache with a replacement policy, so it
 replays scalar, once per geometry and owner domain over the domain's
-event stream, and each lane's bits are then extracted vectorially.
+event stream (less the placements that precede their granule's first
+replacement, which cannot change it), and each lane's bits are then
+extracted vectorially.
 
 **Phase C (account, :class:`Accounting`).**  Timing, energy and coverage
 depend only on the (kind, supplier, miss-bit pattern) equivalence class of
@@ -56,6 +65,7 @@ from __future__ import annotations
 import time
 from array import array
 from itertools import islice
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -72,11 +82,13 @@ import numpy as _np
 from repro.addresses import log2_exact
 from repro.analysis.coverage import CoverageMeter
 from repro.analysis.timing import AccessTimingModel
-from repro.cache.cache import AccessKind, Cache
+from repro.cache.cache import AccessKind, Cache, CacheConfig, CacheSide
 from repro.cache.hierarchy import AccessOutcome, CacheHierarchy, HierarchyConfig
+from repro.cache.replacement import RandomPolicy
 from repro.core.base import (
     INVALIDATE,
     PLACE,
+    REPLACE,
     SCALAR_SEGMENT,
     FilterStats,
     MissFilter,
@@ -99,6 +111,8 @@ from repro.telemetry import get_profiler, get_registry
 #: Access kinds by the integer code the recording stores.
 KINDS: Tuple[AccessKind, ...] = (AccessKind.INSTRUCTION, AccessKind.LOAD,
                                  AccessKind.STORE)
+#: Each kind's code, keyed by the member's ``id`` (see reference_columns).
+_KIND_CODES: Dict[int, int] = {id(kind): code for code, kind in enumerate(KINDS)}
 
 #: EnergyTotals fields accumulated with float ``+=`` (order-sensitive).
 _FLOAT_FIELDS = ("cache_probe_nj", "miss_probe_nj", "refill_nj", "mnm_nj")
@@ -194,21 +208,67 @@ def _listen(recording: Recording, current: List[int],
         cache.add_place_listener(_recording_listener(2 * index + 1))
 
 
-def record(
+def reference_columns(
     references: Iterable[Tuple[int, AccessKind]],
+) -> Tuple[array, array]:
+    """``(addresses, kinds)`` columns of a reference stream, for :func:`record`.
+
+    Addresses become 32-bit unsigned ints and kinds their :data:`KINDS`
+    codes.  A malformed reference raises what the walk (unpacking it, then
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.access`) raises for it,
+    at the first one: the unpacking error for one that is not an
+    ``(address, kind)`` pair, ``KeyError(kind)`` for a kind that is not an
+    :class:`AccessKind`, ``ValueError`` for an address outside the 32-bit
+    space, ``TypeError`` for one that is not an integer.
+    """
+    if not isinstance(references, (list, tuple)):
+        references = list(references)
+    try:
+        addresses = array("I", [address for address, _kind in references])
+        # Kinds are coded by identity: hashing an Enum member runs Python
+        # code, and any other object maps to None, which ``array`` rejects.
+        kinds = array("b", map(_KIND_CODES.get,
+                               map(id, map(itemgetter(1), references))))
+    except (TypeError, ValueError, OverflowError):
+        _reject(references)
+        raise
+    return addresses, kinds
+
+
+def _reject(references: Sequence[Tuple[int, AccessKind]]) -> None:
+    """Raise what the walk raises at the first malformed reference."""
+    probe = Cache(CacheConfig("check", 1, 1, 1, 1, 1)).probe
+    for address, kind in references:
+        if id(kind) not in _KIND_CODES:
+            raise KeyError(kind)
+        probe(address)  # the walk's own address check
+        array("I", (address,))  # the recorded column's
+
+
+def record(
+    addresses: Sequence[int],
+    kinds: Sequence[int],
     hierarchy_config: HierarchyConfig,
     warmup: int = 0,
     reset_at: int = 0,
 ) -> Recording:
-    """Phase A: walk a fresh hierarchy over ``references``.
+    """Phase A: walk a fresh hierarchy over a reference stream's columns.
 
-    The first ``warmup`` references only warm the caches: they are not
-    recorded (their events are, with ordinal -1, so filters can train on
-    them), and the hierarchy's statistics restart once the prefix is
-    complete.  When ``reset_at`` is positive the statistics also restart
-    just before recorded reference ``reset_at`` (or after the last one,
-    when it is the stream's length) — the full-system warm-up boundary,
-    where queries continue but measurement starts.
+    ``addresses`` (32-bit unsigned) and ``kinds`` (:data:`KINDS` codes)
+    are the stream as :func:`reference_columns` or
+    :func:`repro.cpu.core.core_references` build it.  The first ``warmup``
+    references only warm the caches: they are not recorded (their events
+    are, with ordinal -1, so filters can train on them), and the
+    hierarchy's statistics restart once the prefix is complete.  When
+    ``reset_at`` is positive the statistics also restart just before
+    recorded reference ``reset_at`` (or after the last one, when it is the
+    stream's length) — the full-system warm-up boundary, where queries
+    continue but measurement starts.
+
+    When every level-1 cache is direct-mapped, level 1 is computed in
+    numpy (:func:`_direct_mapped_level_one`) and only the references that
+    miss it walk the hierarchy, from tier 2; otherwise every reference
+    walks from tier 1.
     """
     hierarchy = CacheHierarchy(hierarchy_config)
     tracked = [(tier, cache) for tier, cache in hierarchy.all_caches()
@@ -217,35 +277,155 @@ def record(
     current = [-1]
     _listen(recording, current)
 
-    access = hierarchy.access
-    stream = iter(references)
-    seen = 0
-    if warmup > 0:
-        for address, kind in islice(stream, warmup):
-            access(address, kind)
-            seen += 1
-        if seen == warmup:
-            hierarchy.reset_stats()
+    addresses = _np.asarray(addresses)
+    if addresses.dtype != _np.uint32:
+        raise TypeError(f"record takes uint32 addresses, not "
+                        f"{addresses.dtype}; see reference_columns")
+    kinds = _np.asarray(kinds, dtype=_np.int8)
+    total = addresses.shape[0]
+    seen = min(max(warmup, 0), total)
+    count = total - seen
+    # Only the last statistics reset shows: at recorded reference
+    # ``reset_at`` when the stream reaches it, else after a complete
+    # warm-up prefix.
+    if 0 < reset_at <= count:
+        stats_from = seen + reset_at
+    elif 0 < warmup <= total:
+        stats_from = warmup
+    else:
+        stats_from = 0
 
-    addresses = recording.addresses
-    kinds = recording.kinds
-    suppliers = recording.suppliers
-    instruction, load, _store = KINDS  # kind codes are indices into KINDS
-    count = 0
-    for address, kind in stream:
-        if count == reset_at and count:
-            hierarchy.reset_stats()
-        current[0] = count
-        count += 1
-        supplier = access(address, kind).supplier
-        addresses.append(address)
-        kinds.append(0 if kind is instruction else 1 if kind is load else 2)
-        suppliers.append(0 if supplier is None else supplier)
-    if count == reset_at and count:  # the boundary follows the last access
-        hierarchy.reset_stats()
+    level_one = hierarchy.caches_at(1)
+    if all(cache.config.associativity == 1 for cache in level_one):
+        start = 2
+        walked = _direct_mapped_level_one(level_one, addresses, kinds,
+                                          stats_from)
+    else:
+        start = 1
+        walked = _np.arange(total)
+
+    access = hierarchy.access
+    walked_suppliers = array("b")
+    append = walked_suppliers.append
+
+    def walk(steps: Iterable[Tuple[int, int, AccessKind]]) -> None:
+        for ordinal, address, kind in steps:
+            current[0] = ordinal
+            supplier = access(address, kind, start).supplier
+            append(0 if supplier is None else supplier)
+
+    steps = zip(_np.maximum(walked - seen, -1).tolist(),
+                addresses[walked].tolist(),
+                map(KINDS.__getitem__, kinds[walked].tolist()))
+    walk(islice(steps, int(_np.searchsorted(walked, stats_from))))
+    if stats_from:
+        for tier, cache in hierarchy.all_caches():
+            if tier >= start:
+                cache.stats.reset()
+    walk(steps)
+
+    suppliers = _np.ones(total, dtype=_np.int8)  # level-1 hits supply
+    suppliers[walked] = _np.frombuffer(walked_suppliers, dtype=_np.int8)
+    recording.addresses.frombytes(addresses[seen:].tobytes())
+    recording.kinds.frombytes(kinds[seen:].tobytes())
+    recording.suppliers.frombytes(suppliers[seen:].tobytes())
     recording.count = count
-    recording.seen = seen + count
+    recording.seen = total
     return recording
+
+
+def _direct_mapped_level_one(caches: Sequence[Cache],
+                             addresses: "_np.ndarray", kinds: "_np.ndarray",
+                             stats_from: int) -> "_np.ndarray":
+    """Simulate direct-mapped level-1 ``caches``; the rows that miss them.
+
+    Exact without the walk because the recorded hierarchy is non-inclusive
+    and writes nothing back, so a cache's state depends only on its own
+    accesses, and level 1 is never tracked, so it fires no recorded event.
+    Each cache ends in the state, statistics (counted from row
+    ``stats_from``) and replacement state the walk would leave.
+    """
+    hit = _np.zeros(addresses.shape[0], dtype=bool)
+    for cache in caches:
+        side = cache.config.side
+        if side is CacheSide.UNIFIED:
+            rows = _np.arange(addresses.shape[0])
+        else:
+            rows = _np.flatnonzero((kinds == 0)
+                                   == (side is CacheSide.INSTRUCTION))
+        hit[rows] = _fill_direct_mapped(
+            cache, rows, addresses[rows] >> cache.config.offset_bits,
+            kinds[rows] == 2, stats_from)
+    return _np.flatnonzero(~hit)
+
+
+def _fill_direct_mapped(cache: Cache, rows: "_np.ndarray",
+                        blocks: "_np.ndarray", stores: "_np.ndarray",
+                        stats_from: int) -> "_np.ndarray":
+    """Whether each of a fresh direct-mapped ``cache``'s accesses hits.
+
+    ``rows`` are the accesses' stream positions (ascending), ``blocks``
+    their block addresses and ``stores`` their write flags.  Grouped by
+    set, an access hits when the previous access to its set was to the
+    same block; a miss into a set that held a block evicts it, dirty when
+    a store touched that block since it was filled (a store hit sets the
+    dirty bit, a store miss fills the block dirty).
+    """
+    n = rows.shape[0]
+    if n == 0:
+        return _np.zeros(0, dtype=bool)
+    sets = blocks & (cache.config.num_sets - 1)
+    order = _np.argsort(sets, kind="stable")
+    sets, blocks, stores, rows = (sets[order], blocks[order], stores[order],
+                                  rows[order])
+    same_set = _np.zeros(n, dtype=bool)
+    same_set[1:] = sets[1:] == sets[:-1]
+    hits = same_set.copy()
+    hits[1:] &= blocks[1:] == blocks[:-1]
+    misses = ~hits
+    evictions = misses & same_set
+    # A residency starts at each miss; it is dirty once any access in it
+    # stores.  An eviction removes its set's previous residency.
+    residency = _np.cumsum(misses) - 1
+    dirty = _np.bincount(residency[stores], minlength=int(residency[-1]) + 1
+                         ) > 0
+    dirty_evictions = evictions & dirty[residency - 1]
+
+    counted = rows >= stats_from
+    stats = cache.stats
+    stats.probes = int(counted.sum())
+    stats.hits = int((hits & counted).sum())
+    stats.misses = stats.fills = stats.probes - stats.hits
+    stats.evictions = int((evictions & counted).sum())
+    stats.dirty_evictions = int((dirty_evictions & counted).sum())
+
+    # Final state: each set's last residency, entered into the block map in
+    # fill order as the walk would have.
+    miss_at = _np.flatnonzero(misses)
+    last = _np.flatnonzero(_np.append(sets[1:] != sets[:-1], True))
+    final = residency[last]
+    by_fill = _np.argsort(rows[miss_at[final]])
+    way_of = cache._way_of
+    block_at = cache._block_at
+    dirty_at = cache._dirty
+    untouched = cache._untouched
+    on_fill = cache.policy.on_fill
+    for set_index, block, is_dirty in zip(sets[last][by_fill].tolist(),
+                                          blocks[last][by_fill].tolist(),
+                                          dirty[final][by_fill].tolist()):
+        way_of[block] = 0
+        block_at[set_index] = block
+        dirty_at[set_index] = is_dirty
+        untouched[set_index] = 1
+        on_fill(set_index, 0)
+    cache.last_evicted_dirty = bool(
+        dirty_evictions[miss_at[_np.argmax(rows[miss_at])]])
+    if isinstance(cache.policy, RandomPolicy):  # one draw per eviction
+        for _ in range(int(evictions.sum())):
+            cache.policy.victim(0)
+    result = _np.empty(n, dtype=bool)
+    result[order] = hits
+    return result
 
 
 def record_multicore(
@@ -422,33 +602,38 @@ class Replay:
             actions[event_cores != owner] = INVALIDATE
         return actions
 
-    # The RMNM replay iterates zipped memoryviews: they yield Python ints
-    # one at a time, without materialising a list per column.
-
-    def _domain_events(self, owner: Optional[int], lane_of: List[int],
-                       warm: bool):
-        """An RMNM domain's (bound, index, action, first) events, in order.
+    def _domain_events(self, owner: Optional[int], lane_of: List[int]
+                       ) -> Tuple["_np.ndarray", ...]:
+        """An RMNM domain's ``(bounds, lanes, actions, granules)`` events.
 
         The domain's caches are those with a lane (``lane_of[index] >=
-        0``); bounds count the domain's rows.
+        0``); bounds count the domain's rows.  Warm-up events come first,
+        with bound 0, and a block of ``fanout`` granules is that many
+        events, in granule order.
         """
-        span = slice(None, self.warm) if warm else slice(self.warm, None)
-        codes = self.event_codes[span]
-        ordinals = self.event_ordinals[span]
-        blocks = self.event_blocks[span]
-        event_cores = self.event_cores[span] if owner is not None else None
+        codes = self.event_codes
+        ordinals = self.event_ordinals
+        blocks = self.event_blocks
+        event_cores = self.event_cores if owner is not None else None
         caches = codes >> 1
+        lanes = _np.asarray(lane_of)[caches]
         if min(lane_of) < 0:  # some tracked caches lie outside the domain
-            mine = _np.flatnonzero(_np.asarray(lane_of)[caches] >= 0)
-            codes, ordinals, blocks, caches = (
-                codes[mine], ordinals[mine], blocks[mine], caches[mine])
+            mine = _np.flatnonzero(lanes >= 0)
+            codes, ordinals, blocks, caches, lanes = (
+                codes[mine], ordinals[mine], blocks[mine], caches[mine],
+                lanes[mine])
             if event_cores is not None:
                 event_cores = event_cores[mine]
-        firsts = blocks.astype(_np.int64) * self._fanout_of[caches]
-        return zip(memoryview(self._bounds(ordinals, None, owner)),
-                   memoryview(caches),
-                   memoryview(self._actions(codes, event_cores, owner)),
-                   memoryview(firsts))
+        bounds = self._bounds(ordinals, None, owner)
+        actions = self._actions(codes, event_cores, owner)
+        fanouts = self._fanout_of[caches]
+        granules = blocks.astype(_np.int64) * fanouts
+        if granules.shape[0] and fanouts.max() > 1:
+            each = _np.repeat(_np.arange(granules.shape[0]), fanouts)
+            starts = _np.cumsum(fanouts) - fanouts
+            granules = granules[each] + _np.arange(each.shape[0]) - starts[each]
+            bounds, lanes, actions = bounds[each], lanes[each], actions[each]
+        return bounds, lanes, actions, granules
 
     # -- replays ----------------------------------------------------------------
 
@@ -488,22 +673,19 @@ class Replay:
         decisions depend on the interleaving), so it replays over them
         once; lanes then extract their bit vectorially.  Another core's
         event is a placement: :class:`RMNMLane` keeps the default
-        downgrade, which is its ``on_place``.
+        downgrade, which is its ``on_place``.  Only a replace creates an
+        entry and a placement only clears bits of one, so on an RMNM that
+        starts empty the placements of a granule before its first replace
+        change nothing and are skipped; rows between the events that are
+        left are answered together.
         """
+        events = self._domain_events(owner, lane_of)
+        if rmnm.occupancy == 0:
+            _bounds, _lanes, actions, granule_of = events
+            keep = _changes_fresh_rmnm(actions, granule_of)
+            events = tuple(column[keep] for column in events)
         record_place = rmnm.record_place
         targets = (rmnm.record_replace, record_place, record_place)
-        fanouts = self.fanouts
-        for _bound, cache_index, action, first_granule in (
-                self._domain_events(owner, lane_of, True)):
-            record_event = targets[action]
-            lane = lane_of[cache_index]
-            fanout = fanouts[cache_index]
-            if fanout == 1:
-                record_event(first_granule, lane)
-            else:
-                for granule_addr in range(first_granule,
-                                          first_granule + fanout):
-                    record_event(granule_addr, lane)
         _rows, granules = self.rows(None, owner)
         n = granules.shape[0]
         replaced = _np.empty(n, dtype=_np.int64)
@@ -511,8 +693,9 @@ class Replay:
         bits_many = rmnm.replaced_bits_many
         bits_of = rmnm.replaced_bits_of
         all_ints = memoryview(granules)
-        for bound, cache_index, action, first_granule in (
-                self._domain_events(owner, lane_of, False)):
+        # Zipped memoryviews yield Python ints one at a time, without
+        # materialising a list per column.
+        for bound, lane, action, granule in zip(*map(memoryview, events)):
             if bound > position:
                 if bound - position <= SCALAR_SEGMENT:
                     for row in range(position, bound):
@@ -521,15 +704,7 @@ class Replay:
                     replaced[position:bound] = bits_many(
                         granules[position:bound])
                 position = bound
-            record_event = targets[action]
-            lane = lane_of[cache_index]
-            fanout = fanouts[cache_index]
-            if fanout == 1:
-                record_event(first_granule, lane)
-            else:
-                for granule_addr in range(
-                        first_granule, first_granule + fanout):
-                    record_event(granule_addr, lane)
+            targets[action](granule, lane)
         if position < n:
             replaced[position:] = bits_many(granules[position:])
         return replaced
@@ -632,6 +807,21 @@ class Replay:
             registry.counter("mnm.miss_answers").inc(
                 int(bits_matrix.any(axis=1).sum()))
         return bits_matrix
+
+
+def _changes_fresh_rmnm(actions: "_np.ndarray", granules: "_np.ndarray"
+                        ) -> "_np.ndarray":
+    """Which events can change an empty RMNM: every replace, and every
+    placement that follows a replace of its granule."""
+    replaces = _np.flatnonzero(actions == REPLACE)
+    keep = actions == REPLACE
+    if replaces.shape[0]:
+        replaced, first = _np.unique(granules[replaces], return_index=True)
+        slot = _np.minimum(_np.searchsorted(replaced, granules),
+                           replaced.shape[0] - 1)
+        keep |= ((replaced[slot] == granules)
+                 & (_np.arange(granules.shape[0]) > replaces[first][slot]))
+    return keep
 
 
 def _components(filter_: MissFilter) -> Tuple[MissFilter, ...]:
@@ -868,7 +1058,8 @@ def run_reference_pass_fast(
     profiler = get_profiler()
     pass_started = time.perf_counter() if profiler.enabled else 0.0
 
-    recording = record(references, hierarchy_config, warmup=warmup)
+    addresses, kinds = reference_columns(references)
+    recording = record(addresses, kinds, hierarchy_config, warmup=warmup)
     n = recording.count
     if n == 0:
         raise ValueError(

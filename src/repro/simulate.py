@@ -501,9 +501,7 @@ def _kernel_memory(
     fetch_block = (level_one.unified or level_one.instruction).block_size
     addresses, kinds, boundary = core_references(trace.instructions,
                                                  fetch_block, warmup)
-    addresses, kinds = memoryview(addresses), memoryview(kinds)
-    recording = record(zip(addresses, map(KINDS.__getitem__, kinds)),
-                       hierarchy_config, reset_at=boundary)
+    recording = record(addresses, kinds, hierarchy_config, reset_at=boundary)
     memory = build_memory(hierarchy_config, design,
                           hierarchy=recording.hierarchy)
     with_bits = memory.mnm is not None
@@ -519,7 +517,7 @@ def _kernel_memory(
                     memory._telemetry)
     accounting.energy(memory.accountant, measured, present, with_bits)
     replayed = ReplayedMemory(
-        addresses, kinds, KINDS,
+        memoryview(addresses), memoryview(kinds), KINDS,
         memoryview(latency_of[class_ids]), fetch_block,
         memory.l1_instruction_latency, boundary)
     return memory, replayed

@@ -3,7 +3,7 @@
 ``tests/kernel/test_engine_equivalence.py`` pins the engines on the paper's
 workloads over fixed hierarchies.  This module generates the inputs
 instead: hierarchies of 2-5 tiers (split or unified, any replacement
-policy), designs from every search-space family plus the paper hybrids and
+policy, level 1 direct-mapped in about half of them), designs from every search-space family plus the paper hybrids and
 the oracle under every placement, short synthetic instruction traces with
 taken and not-taken branches, warm-ups up to and past the trace length,
 both paper cores and the perfect branch predictor.  Multicore passes draw
@@ -62,8 +62,9 @@ CONTENTION_DESIGNS = ("TMNM_8x1", "TMNM_12x3", "SMNM_10x1", "SMNM_13x3",
 # ---------------------------------------------------------------------------
 
 @st.composite
-def cache_configs(draw, name, level, side, block, latency):
-    associativity = draw(st.sampled_from((1, 2, 4, 8)))
+def cache_configs(draw, name, level, side, block, latency,
+                  associativities=(1, 2, 4, 8)):
+    associativity = draw(st.sampled_from(associativities))
     sets = draw(st.sampled_from((1, 2, 4, 8, 16, 32)))
     hit = latency + draw(st.integers(0, 6))
     miss = draw(st.one_of(st.none(), st.integers(0, hit)))
@@ -75,8 +76,17 @@ def cache_configs(draw, name, level, side, block, latency):
 
 
 @st.composite
-def hierarchies(draw):
-    """2-5 tiers, each split or unified; block sizes never shrink outward."""
+def hierarchies(draw, direct_mapped_level_one=None):
+    """2-5 tiers, each split or unified; block sizes never shrink outward.
+
+    Level 1 is direct-mapped when ``direct_mapped_level_one`` is True, and
+    in about half the examples when it is None (the kernel computes such
+    a level in numpy and walks only its misses); its caches otherwise
+    draw any associativity, so the walk from level 1 stays covered.
+    """
+    if direct_mapped_level_one is None:
+        direct_mapped_level_one = draw(st.booleans(),
+                                       label="direct-mapped level 1")
     num_tiers = draw(st.integers(2, 5))
     block = draw(st.sampled_from((8, 16, 32)))
     latency = 1
@@ -85,17 +95,20 @@ def hierarchies(draw):
         if level > 1:
             block *= draw(st.sampled_from((1, 2)))
             latency += draw(st.integers(1, 8))
+        ways = ((1,) if level == 1 and direct_mapped_level_one
+                else (1, 2, 4, 8))
         if draw(st.booleans()):
             data_block = block * draw(st.sampled_from((1, 2)))
             tiers.append(TierConfig.make_split(
                 draw(cache_configs(f"i{level}", level,
-                                   CacheSide.INSTRUCTION, block, latency)),
+                                   CacheSide.INSTRUCTION, block, latency,
+                                   ways)),
                 draw(cache_configs(f"d{level}", level, CacheSide.DATA,
-                                   data_block, latency))))
+                                   data_block, latency, ways))))
         else:
             tiers.append(TierConfig.make_unified(
                 draw(cache_configs(f"u{level}", level, CacheSide.UNIFIED,
-                                   block, latency))))
+                                   block, latency, ways))))
     return HierarchyConfig(
         name=f"fuzz-{num_tiers}", tiers=tuple(tiers),
         memory_latency=latency + draw(st.integers(1, 120)))

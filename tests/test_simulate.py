@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.cache import AccessKind
+from repro.cache.presets import paper_hierarchy_5level
 from repro.core.base import Placement
 from repro.core.presets import (
     hmnm_design,
@@ -229,3 +230,23 @@ class TestRunReferencePass:
             for tier in range(2, meter.num_tiers + 1):
                 assert (counters[f"mnm.{design_name}.bypass.l{tier}"]
                         <= counters[f"mnm.{design_name}.candidates.l{tier}"])
+
+
+class TestMalformedKind:
+    """A kind that is not an :class:`AccessKind` raises ``KeyError(kind)``
+    in both engines, at the first such reference, warm-up included."""
+
+    @pytest.mark.parametrize("designs", [[], ["TMNM_10x1"]],
+                             ids=["baseline", "tmnm"])
+    @pytest.mark.parametrize("first", [50, 250], ids=["warmup", "measured"])
+    def test_first_bad_kind_raises(self, first, designs):
+        references = [(64 * index, AccessKind.LOAD) for index in range(400)]
+        references[first] = (references[first][0], "load")
+        references[first + 100] = (references[first + 100][0], "store")
+        for engine in ("interp", "fast"):
+            with pytest.raises(KeyError) as caught:
+                run_reference_pass(
+                    references, paper_hierarchy_5level(),
+                    [parse_design(name) for name in designs], "bad",
+                    warmup=100, engine=engine)
+            assert caught.value.args == ("load",), engine
