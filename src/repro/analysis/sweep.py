@@ -4,7 +4,7 @@ The paper argues by comparing a handful of configurations per technique;
 this module generalises that into a reusable sweep: evaluate any set of
 MNM designs against one shared simulation pass and extract the Pareto
 frontier of (storage bits, coverage).  Used by the design-exploration
-example and the ablation benchmarks.
+example, the design-space search and the extension experiments.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from repro.simulate import (
 )
 from repro.workloads import get_trace, workload_names
 
-#: Default trace length for harness runs; benchmarks use smaller settings.
+#: Default trace length for harness runs; tests use smaller settings.
 DEFAULT_INSTRUCTIONS = 120_000
 
 #: Fraction of each trace used as warmup (SimPoint-style fast-forward).

@@ -12,7 +12,6 @@ Examples::
     repro-mnm report --jobs 4 --run-dir runs/nightly   # + manifest.json
     repro-mnm obs show runs/nightly
     repro-mnm obs diff runs/last runs/nightly
-    repro-mnm obs regress runs/nightly --baseline ci/baselines/
     repro-mnm run fig15 --retries 3 --task-timeout 600
     repro-mnm search --space paper --sampler random --samples 32 \\
         --budget-bits 80000 --seed 7 --top-k 5
@@ -37,7 +36,6 @@ one-line message instead of a raw traceback:
 5     unknown experiment id
 6     a simulation task failed after exhausting its retries
 7     ``repro-mnm check`` reported static-analysis findings
-8     ``repro-mnm obs regress`` found a performance regression
 130   interrupted (Ctrl-C or SIGTERM) — journaled runs resume with
       ``--resume``
 ====  =======================================================
@@ -85,7 +83,6 @@ EXIT_BAD_VALUE = 4
 EXIT_UNKNOWN_EXPERIMENT = 5
 EXIT_TASK_FAILED = 6
 EXIT_STATIC_CHECK = 7
-EXIT_PERF_REGRESSION = 8
 EXIT_INTERRUPTED = 130
 
 
@@ -368,10 +365,9 @@ def _bench_payload(settings: ExperimentSettings, command: str) -> dict:
 
     Records per-experiment wall-clock and the simulation throughputs
     (references/sec for reference passes, instructions/sec for core
-    runs) — the numbers future performance PRs diff against.  Emitted in
-    the shared ``repro-bench/v1`` envelope (``schema`` / ``created_by``
-    / flat ``metrics`` — see ``benchmarks/_schema.py``), so ``repro-mnm
-    obs regress`` gates it exactly like any other ``BENCH_*.json``.
+    runs).  Besides the nested views it carries ``schema``
+    (``repro-bench/v1``), ``created_by`` and the same numbers as one
+    flat ``metrics`` dict.
     """
     profiler = telemetry.get_profiler()
     phases = profiler.snapshot()

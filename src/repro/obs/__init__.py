@@ -8,11 +8,8 @@ resilience events (retries, timeouts, pool rebuilds, degradations) and
 an environment capture.  The ``repro-mnm obs`` subcommands read those
 manifests back:
 
-* ``obs show``    — terminal timeline, slowest tasks, straggler report;
-* ``obs diff``    — two manifests → per-phase wall-clock + counter deltas;
-* ``obs regress`` — manifest or ``BENCH_*.json`` vs a committed baseline
-  with per-metric tolerances (exit code 8 on regression — the CI perf
-  gate).
+* ``obs show`` — terminal timeline, slowest tasks, straggler report;
+* ``obs diff`` — two manifests → per-phase wall-clock + counter deltas.
 
 The manifest is observability output, not simulation output: its
 timings vary run to run, so it is excluded from the serial≡parallel
@@ -30,24 +27,14 @@ from repro.obs.manifest import (
     load_manifest,
     write_manifest,
 )
-from repro.obs.regress import (
-    BASELINE_SCHEMA,
-    check_regressions,
-    extract_metrics,
-    load_baseline,
-)
 from repro.obs.show import render_manifest
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "MANIFEST_NAME",
     "MANIFEST_SCHEMA",
     "build_manifest",
-    "check_regressions",
     "config_fingerprint",
     "diff_manifests",
-    "extract_metrics",
-    "load_baseline",
     "load_manifest",
     "render_diff",
     "render_manifest",

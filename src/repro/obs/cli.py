@@ -1,4 +1,4 @@
-"""The ``repro-mnm obs`` subcommands: show, diff, regress.
+"""The ``repro-mnm obs`` subcommands: show and diff.
 
 Kept importable without the experiment stack (same discipline as
 :mod:`repro.staticcheck.cli`): reading manifests back must work even on
@@ -7,29 +7,19 @@ CLI's documented table (:mod:`repro.experiments.cli`):
 
 ====  ====================================================
 0     success
-3     a manifest / candidate / baseline path is unreadable
-4     invalid value (bad schema, no matching baseline,
-      bad ``--max-ratio``)
-8     ``obs regress`` found a performance regression
+2     usage error (argparse: unknown subcommand or flag)
+3     a manifest path is unreadable
+4     invalid value (not a run manifest, unknown schema)
 ====  ====================================================
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from typing import Any, Dict
 
 from repro.obs.diff import diff_manifests, render_diff
 from repro.obs.manifest import load_manifest
-from repro.obs.regress import (
-    DEFAULT_MAX_RATIO,
-    candidate_name,
-    check_regressions,
-    extract_metrics,
-    load_baseline,
-    render_findings,
-)
 from repro.obs.show import render_manifest
 
 #: Mirrors repro.experiments.cli's exit-code table (kept literal here so
@@ -37,34 +27,6 @@ from repro.obs.show import render_manifest
 EXIT_OK = 0
 EXIT_BAD_PATH = 3
 EXIT_BAD_VALUE = 4
-EXIT_PERF_REGRESSION = 8
-
-
-def _load_document(path: str, err) -> Dict[str, Any]:
-    """A manifest (file or run dir) or any other JSON measurement doc."""
-    try:
-        return load_manifest(path)
-    except ValueError:
-        pass  # not a manifest — fall through to plain JSON
-    except OSError as exc:
-        print(f"repro-mnm: error: cannot read {path}: "
-              f"{exc.strerror or exc}", file=err)
-        raise SystemExit(EXIT_BAD_PATH)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        print(f"repro-mnm: error: cannot read {path}: "
-              f"{exc.strerror or exc}", file=err)
-        raise SystemExit(EXIT_BAD_PATH)
-    except ValueError:
-        print(f"repro-mnm: error: {path} is not valid JSON", file=err)
-        raise SystemExit(EXIT_BAD_VALUE)
-    if not isinstance(document, dict):
-        print(f"repro-mnm: error: {path} is not a measurement "
-              "document (expected a JSON object)", file=err)
-        raise SystemExit(EXIT_BAD_VALUE)
-    return document
 
 
 def _load_manifest_or_fail(path: str, err) -> Dict[str, Any]:
@@ -89,35 +51,10 @@ def run_obs(args, out=None, err=None) -> int:
             print(render_manifest(manifest, top=args.top), file=out)
             return EXIT_OK
 
-        if args.obs_command == "diff":
-            old = _load_manifest_or_fail(args.old, err)
-            new = _load_manifest_or_fail(args.new, err)
-            print(render_diff(diff_manifests(old, new)), file=out)
-            return EXIT_OK
-
-        # obs regress
-        if args.max_ratio <= 0:
-            print(f"repro-mnm: error: --max-ratio must be > 0, "
-                  f"got {args.max_ratio}", file=err)
-            return EXIT_BAD_VALUE
-        document = _load_document(args.candidate, err)
-        try:
-            baseline = load_baseline(args.baseline,
-                                     name=candidate_name(document))
-        except OSError as exc:
-            print(f"repro-mnm: error: cannot read baseline "
-                  f"{args.baseline}: {exc.strerror or exc}", file=err)
-            return EXIT_BAD_PATH
-        except (LookupError, ValueError) as exc:
-            print(f"repro-mnm: error: {exc}", file=err)
-            return EXIT_BAD_VALUE
-        findings = check_regressions(extract_metrics(document), baseline,
-                                     default_max_ratio=args.max_ratio)
-        print(f"candidate: {args.candidate}", file=out)
-        print(f"baseline:  {baseline.get('name', args.baseline)}", file=out)
-        print(render_findings(findings), file=out)
-        if any(not finding["ok"] for finding in findings):
-            return EXIT_PERF_REGRESSION
+        # obs diff
+        old = _load_manifest_or_fail(args.old, err)
+        new = _load_manifest_or_fail(args.new, err)
+        print(render_diff(diff_manifests(old, new)), file=out)
         return EXIT_OK
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -126,7 +63,7 @@ def run_obs(args, out=None, err=None) -> int:
 def add_obs_parser(sub) -> None:
     """Attach the ``obs`` subcommand tree to the main CLI's subparsers."""
     obs = sub.add_parser(
-        "obs", help="inspect run manifests: show / diff / regress")
+        "obs", help="inspect run manifests: show / diff")
     _add_obs_subcommands(
         obs.add_subparsers(dest="obs_command", required=True))
 
@@ -146,20 +83,6 @@ def _add_obs_subcommands(obs_sub) -> None:
     diff.add_argument("old", help="baseline run directory or manifest.json")
     diff.add_argument("new", help="candidate run directory or manifest.json")
 
-    regress = obs_sub.add_parser(
-        "regress", help="gate a manifest or BENCH_*.json against a "
-                        "committed baseline (exit 8 on regression)")
-    regress.add_argument("candidate",
-                         help="run directory, manifest.json or BENCH_*.json")
-    regress.add_argument("--baseline", required=True,
-                         help="baseline JSON file, or a directory of "
-                              "baselines matched by name")
-    regress.add_argument("--max-ratio", type=float,
-                         default=DEFAULT_MAX_RATIO,
-                         help="tolerance for baseline metrics without an "
-                              "explicit ratio (default "
-                              f"{DEFAULT_MAX_RATIO})")
-
 
 def main(argv=None) -> int:
     """Standalone entry point (``python -m repro.obs.cli``)."""
@@ -167,7 +90,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-mnm obs",
-        description="run-manifest observatory: show / diff / regress")
+        description="run-manifest observatory: show / diff")
     _add_obs_subcommands(parser.add_subparsers(dest="obs_command",
                                                required=True))
     args = parser.parse_args(argv)

@@ -177,19 +177,6 @@ class ModuleInfo:
                 or basename.startswith("test_")
                 or basename == "conftest.py")
 
-    @property
-    def is_bench_code(self) -> bool:
-        """Benchmark harnesses (``benchmarks/``, ``bench_*.py``).
-
-        Like test code, benchmarks are dev tooling, not shipped library
-        code — their asserts are self-checks on the measurement, so the
-        assert rule exempts them.  Determinism rules still apply: a
-        benchmark that reads ambient state must say why.
-        """
-        parts = self.path.split("/")
-        return ("benchmarks" in parts[:-1]
-                or parts[-1].startswith("bench_"))
-
 
 @dataclass
 class ProjectContext:

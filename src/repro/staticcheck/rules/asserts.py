@@ -6,12 +6,11 @@ must therefore be an explicit ``raise``, or the guarantee silently
 evaporates the first time someone runs the suite optimised.  CI pins
 this by re-running the affected tests under ``python -O``.
 
-Scope: everything under ``src/`` except ``testing/``, test code
+Scope: everything under ``src/`` except ``testing/`` and test code
 (``tests/``, ``test_*.py``, ``conftest.py`` — pytest rewrites and owns
-those asserts) and benchmark harnesses (``benchmarks/`` — their asserts
-are self-checks on the measurement, not shipped validation).  Genuinely
-redundant asserts (e.g. type-narrowing hints) may be suppressed with
-``# repro: allow[R005]``, but converting them is almost always better.
+those asserts).  Genuinely redundant asserts (e.g. type-narrowing hints)
+may be suppressed with ``# repro: allow[R005]``, but converting them is
+almost always better.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ class AssertRule(Rule):
             "impossible states instead")
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if (module.component == "testing" or module.is_test_code
-                or module.is_bench_code):
+        if module.component == "testing" or module.is_test_code:
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Assert):

@@ -5,8 +5,7 @@ measured with ``time.perf_counter`` — plus optional unit counts so a
 phase can report a throughput (references/sec for reference passes,
 instructions/sec for core runs, one ``experiment.<id>`` phase per
 registry dispatch).  The snapshot feeds the CLI's ``--profile`` output
-and the machine-readable ``BENCH_telemetry.json`` that pins the repo's
-performance trajectory.
+and the machine-readable ``BENCH_telemetry.json`` it writes.
 
 Like the metrics registry, the process default is a disabled singleton
 (:data:`NULL_PROFILER`): instrumented code checks ``profiler.enabled``

@@ -158,7 +158,7 @@ class TestLightExperiments:
 
 
 class TestHeavyExperimentsSmoke:
-    """One tiny heavy run each; full runs happen in the benchmarks."""
+    """One tiny heavy run each; ``tests/paper`` checks their shapes."""
 
     SETTINGS = ExperimentSettings(num_instructions=3000,
                                   warmup_fraction=0.3,

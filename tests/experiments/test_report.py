@@ -2,12 +2,17 @@
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, ExperimentSettings
+from repro.experiments.base import (
+    ExperimentResult,
+    ExperimentSettings,
+    clear_pass_cache,
+)
 from repro.experiments.cli import main
 from repro.experiments.report import (
     generate_report,
     render_markdown_report,
 )
+from repro.obs.manifest import load_manifest
 
 TINY = ExperimentSettings(num_instructions=4000, warmup_fraction=0.25,
                           workloads=("twolf",))
@@ -78,3 +83,24 @@ class TestReportCLI:
         assert "## fig13" in content
         out = capsys.readouterr().out
         assert "report written" in out
+
+    def test_line_up_does_exactly_its_work_on_the_pool(self, tmp_path,
+                                                        capsys):
+        # Exact counts of the skip-heavy line-up at 8000 instructions on
+        # gcc and twolf; a run that silently simulates less fails here.
+        clear_pass_cache()
+        run_dir = tmp_path / "run"
+        code = main([
+            "report", "--skip-heavy", "--instructions", "8000",
+            "--workloads", "gcc,twolf", "--jobs", "2",
+            "--run-dir", str(run_dir),
+            "--report-out", str(tmp_path / "report.md"),
+        ])
+        assert code == 0
+        manifest = load_manifest(str(run_dir))
+        assert len(manifest["tasks"]) == 26
+        # Every task ran on the process pool: none resumed, none serial.
+        assert {task["worker"] for task in manifest["tasks"]} == {"pool"}
+        assert manifest["metrics"]["counters"]["pass.references"] == 72_100
+        assert main(["obs", "show", str(run_dir)]) == 0
+        capsys.readouterr()

@@ -3,22 +3,26 @@
 ``tests/kernel/test_engine_equivalence.py`` pins the engines on the paper's
 workloads over fixed hierarchies.  This module generates the inputs
 instead: hierarchies of 2-5 tiers (split or unified, any replacement
-policy, level 1 direct-mapped in about half of them), designs from every search-space family plus the paper hybrids and
-the oracle under every placement, short synthetic instruction traces with
+policy, level 1 direct-mapped in about half of them), designs from every
+search-space family plus the paper hybrids and the oracle under every
+placement and MNM delay, short synthetic instruction traces with
 taken and not-taken branches, warm-ups up to and past the trace length,
-both paper cores and the perfect branch predictor.  Multicore passes draw
-1-4 cores of short reference streams over the same hierarchies, every MNM
-sharing, L2 policy and schedule, and designs of every filter family, the
-hybrids and the oracle.  Every field of every result must be equal
-between ``engine="fast"`` and ``engine="interp"``, floats with ``==``, and
-no design may report a violation; multicore passes must also leave equal
-registry counters.  A warm-up that leaves nothing to measure must raise
-the same ``ValueError`` in both.
+both paper cores and the perfect branch predictor.  Reference passes also
+run reuse-heavy random streams against one RMNM of 64-512 entries, long
+enough that replaced blocks are placed again and queried.  Multicore
+passes draw 1-4 cores of short reference streams over the same
+hierarchies, every MNM sharing, L2 policy and schedule, and designs of
+every filter family, the hybrids and the oracle.  Every field of every
+result must be equal between ``engine="fast"`` and ``engine="interp"``,
+floats with ``==``, and no design may report a violation; multicore
+passes must also leave equal registry counters.  A warm-up that leaves
+nothing to measure must raise the same ``ValueError`` in both.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,7 +31,7 @@ from repro import telemetry
 from repro.cache.cache import AccessKind, CacheConfig, CacheSide
 from repro.cache.hierarchy import HierarchyConfig, TierConfig
 from repro.core.base import Placement
-from repro.core.presets import parse_design
+from repro.core.presets import parse_design, rmnm_design
 from repro.cpu.branch import PerfectPredictor
 from repro.cpu.core import paper_core
 from repro.cpu.isa import Instruction, OpClass
@@ -44,6 +48,7 @@ from repro.simulate import (
     run_reference_pass,
 )
 from repro.workloads.trace import Trace
+from tests.conftest import random_references, small_hierarchy_config
 
 SPACE = paper_space()
 SPECIAL_DESIGNS = ("PERFECT", "HMNM1", "HMNM2", "HMNM3", "HMNM4")
@@ -116,15 +121,17 @@ def hierarchies(draw, direct_mapped_level_one=None):
 
 @st.composite
 def designs(draw):
-    """A design of any family, the hybrids or the oracle, any placement."""
+    """A design of any family, the hybrids or the oracle, any placement
+    and an MNM delay of 1-4 cycles."""
     if draw(st.booleans()):
         design = parse_design(draw(st.sampled_from(SPECIAL_DESIGNS)))
     else:
         design = SPACE.point(draw(st.integers(0, SPACE.size - 1))).design()
     placement = draw(st.sampled_from(tuple(Placement)))
-    design = design.with_placement(placement)
-    return dataclasses.replace(design,
-                               name=f"{design.name}@{placement.value}")
+    delay = draw(st.integers(1, 4), label="delay")
+    return dataclasses.replace(
+        design, name=f"{design.name}@{placement.value}-d{delay}",
+        placement=placement, delay=delay)
 
 
 _OPS = tuple(OpClass)
@@ -231,6 +238,28 @@ def test_reference_pass_engines_agree(hierarchy, design_set, trace, data):
     if warmup < len(references):
         assert all(result.coverage.violations == 0
                    for result in results["interp"].designs.values())
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(500, 2000),
+       span=st.integers(2 << 10, 8 << 10),
+       entries=st.sampled_from((64, 128, 256, 512)),
+       associativity=st.sampled_from((1, 2, 4, 8)))
+def test_rmnm_reference_pass_engines_agree(seed, count, span, entries,
+                                           associativity):
+    """Reuse-heavy streams that place replaced blocks again and query
+    them, so a wrong RMNM bit reaches a result; the fuzzer's short traces
+    seldom do."""
+    references = random_references(random.Random(seed), count, span)
+    results = {
+        engine: run_reference_pass(
+            references, small_hierarchy_config(3),
+            [rmnm_design(entries, associativity)], workload_name="rmnm",
+            warmup=count // 4, engine=engine)
+        for engine in ("interp", "fast")}
+    assert exact(results["fast"]) == exact(results["interp"])
+    assert all(result.coverage.violations == 0
+               for result in results["interp"].designs.values())
 
 
 @FUZZ

@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.experiments.cli import (
-    EXIT_BAD_PATH,
-    EXIT_BAD_VALUE,
-    EXIT_PERF_REGRESSION,
-    main,
-)
+from repro.experiments.cli import EXIT_BAD_PATH, EXIT_BAD_VALUE, main
+from repro.obs.cli import main as obs_main
 from repro.obs.manifest import load_manifest
-from repro.obs.regress import BASELINE_SCHEMA
 
 SMALL = ["--instructions", "4000", "--workloads", "twolf",
          "--warmup-fraction", "0.25"]
@@ -110,54 +103,15 @@ class TestObsDiff:
         assert "fingerprints differ" in capsys.readouterr().out
 
 
-class TestObsRegress:
-    def _write_baseline(self, path, metrics, name="run"):
-        path.write_text(json.dumps(
-            {"schema": BASELINE_SCHEMA, "name": name, "metrics": metrics}))
-
-    def test_passing_gate_exits_0(self, run_dir, tmp_path, capsys):
-        baseline = tmp_path / "run.json"
-        self._write_baseline(baseline, {
-            "wall_seconds": {"value": 120.0, "max_ratio": 10.0},
-            "counters.pass.references": {"value": 1, "min_ratio": 1.0},
-        })
-        assert main(["obs", "regress", str(run_dir),
-                     "--baseline", str(baseline)]) == 0
-        assert "no regression" in capsys.readouterr().out
-
-    def test_injected_slowdown_exits_8(self, run_dir, tmp_path, capsys):
-        baseline = tmp_path / "run.json"
-        # A baseline claiming the run should take ~1ms: guaranteed FAIL.
-        self._write_baseline(baseline, {
-            "wall_seconds": {"value": 0.000001, "max_ratio": 1.0}})
-        assert main(["obs", "regress", str(run_dir),
-                     "--baseline", str(baseline)]) == EXIT_PERF_REGRESSION
-        assert "perf regression" in capsys.readouterr().out
-
-    def test_baseline_directory_matched_by_command(self, run_dir, tmp_path,
-                                                   capsys):
-        self._write_baseline(tmp_path / "other.json", {}, name="search")
-        self._write_baseline(tmp_path / "run.json", {
-            "tasks.executed": {"value": 1, "min_ratio": 1.0}}, name="run")
-        assert main(["obs", "regress", str(run_dir),
-                     "--baseline", str(tmp_path)]) == 0
-        capsys.readouterr()
-
-    def test_no_matching_baseline_exits_4(self, run_dir, tmp_path, capsys):
-        self._write_baseline(tmp_path / "other.json", {}, name="search")
-        assert main(["obs", "regress", str(run_dir),
-                     "--baseline", str(tmp_path)]) == EXIT_BAD_VALUE
-        assert "no baseline named" in capsys.readouterr().err
-
-    def test_gates_bench_envelope_documents(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_x.json"
-        bench.write_text(json.dumps({
-            "schema": "repro-bench/v1", "created_by": "bench_x",
-            "metrics": {"seconds.serial_cold": 50.0}}))
-        baseline = tmp_path / "bench_x.json"
-        self._write_baseline(baseline, {
-            "seconds.serial_cold": {"value": 60.0, "max_ratio": 1.5}},
-            name="bench_x")
-        assert main(["obs", "regress", str(bench),
-                     "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
+class TestObsRegressRemoved:
+    @pytest.mark.parametrize("entry_point, prefix", [
+        (main, ["obs"]), (obs_main, []),
+    ], ids=["repro-mnm", "repro.obs.cli"])
+    def test_regress_is_a_usage_error(self, tmp_path, capsys, entry_point,
+                                      prefix):
+        with pytest.raises(SystemExit) as excinfo:
+            entry_point([*prefix, "regress", str(tmp_path),
+                         "--baseline", str(tmp_path), "--max-ratio", "2"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "regress" in err

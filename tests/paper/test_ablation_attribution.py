@@ -6,15 +6,13 @@ component coverages (Figures 10-13): CMNM and TMNM carry most of the
 weight, SMNM and RMNM contribute small exclusive slices.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.analysis.attribution import attribute_hybrid
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.machine import MostlyNoMachine
 from repro.core.presets import hmnm_design
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOADS = ("gcc", "twolf")
 
@@ -22,21 +20,20 @@ WORKLOADS = ("gcc", "twolf")
 def _run():
     totals_per_workload = {}
     for workload in WORKLOADS:
-        trace = get_trace(workload, BENCH_SETTINGS.num_instructions,
-                          BENCH_SETTINGS.seed)
+        trace = get_trace(workload, PAPER_SETTINGS.num_instructions,
+                          PAPER_SETTINGS.seed)
         references = list(trace.memory_references())
         hierarchy = CacheHierarchy(paper_hierarchy_5level())
         machine = MostlyNoMachine(hierarchy, hmnm_design(4))
         totals_per_workload[workload] = attribute_hybrid(
             hierarchy, machine, references,
-            warmup=int(len(references) * BENCH_SETTINGS.warmup_fraction),
+            warmup=int(len(references) * PAPER_SETTINGS.warmup_fraction),
         )
     return totals_per_workload
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_hmnm4_attribution(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_hmnm4_attribution():
+    results = _run()
     print("\n== ablation: HMNM4 attribution (share of identified misses) ==")
     techniques = ("rmnm", "smnm", "tmnm", "cmnm")
     for workload, totals in results.items():

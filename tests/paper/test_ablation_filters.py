@@ -1,4 +1,4 @@
-"""Ablation benches for the MNM design choices DESIGN.md calls out.
+"""Ablation checks for the MNM design choices DESIGN.md calls out.
 
 Not paper artifacts — these probe *why* the paper's configurations look
 the way they do:
@@ -11,9 +11,6 @@ the way they do:
 * Bloom baseline: the related-work-style filter vs the TMNM at equal bits.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.bloom import bloom_design
 from repro.core.presets import (
@@ -23,6 +20,7 @@ from repro.core.presets import (
     tmnm_design,
 )
 from repro.experiments.base import reference_pass
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOADS = ("twolf", "gcc", "mcf", "equake")
 
@@ -33,7 +31,7 @@ def _mean_coverage(designs):
     totals = {design.name: 0.0 for design in designs}
     for workload in WORKLOADS:
         result = reference_pass(workload, hierarchy, tuple(designs),
-                                BENCH_SETTINGS)
+                                PAPER_SETTINGS)
         for design in designs:
             meter = result.designs[design.name].coverage
             assert meter.violations == 0
@@ -47,19 +45,16 @@ def _print(title, coverages):
         print(f"  {name:16} {coverage * 100:5.1f}%")
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_rmnm_geometry(benchmark):
+def test_ablation_rmnm_geometry():
     """512 RMNM entries arranged DM / 2-way / 8-way: associativity should
     help (replacement records are conflict-prone)."""
     designs = [rmnm_design(512, 1), rmnm_design(512, 2), rmnm_design(512, 8)]
-    coverages = benchmark.pedantic(_mean_coverage, args=(designs,),
-                                   rounds=1, iterations=1)
+    coverages = _mean_coverage(designs)
     _print("RMNM geometry @512 entries", coverages)
     assert coverages["RMNM_512_8"] >= coverages["RMNM_512_1"] - 0.01
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_tmnm_equal_bits(benchmark):
+def test_ablation_tmnm_equal_bits():
     """12k counter-bits as 1x12-bit, 2x11-bit or 4x10-bit tables.
 
     On these traces *capacity beats slice diversity*: the single 12-bit
@@ -69,8 +64,7 @@ def test_ablation_tmnm_equal_bits(benchmark):
     pins the monotone ordering we can rely on either way.
     """
     designs = [tmnm_design(12, 1), tmnm_design(11, 2), tmnm_design(10, 4)]
-    coverages = benchmark.pedantic(_mean_coverage, args=(designs,),
-                                   rounds=1, iterations=1)
+    coverages = _mean_coverage(designs)
     _print("TMNM tables vs size @equal bits", coverages)
     ordered = [coverages["TMNM_10x4"], coverages["TMNM_11x2"],
                coverages["TMNM_12x1"]]
@@ -80,37 +74,31 @@ def test_ablation_tmnm_equal_bits(benchmark):
     )
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_cmnm_registers(benchmark):
+def test_ablation_cmnm_registers():
     """Virtual-tag registers 1/2/4/8 at a fixed 10-bit table."""
     designs = [cmnm_design(k, 10) for k in (1, 2, 4, 8)]
-    coverages = benchmark.pedantic(_mean_coverage, args=(designs,),
-                                   rounds=1, iterations=1)
+    coverages = _mean_coverage(designs)
     _print("CMNM register sweep @10-bit tables", coverages)
     values = [coverages[f"CMNM_{k}_10"] for k in (1, 2, 4, 8)]
     assert values[-1] >= values[0]  # more registers, finer regions
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_counting_smnm(benchmark):
+def test_ablation_counting_smnm():
     """The paper's flip-flop SMNM vs a counting variant (our extension)."""
     designs = [smnm_design(13, 2), smnm_design(13, 2, counting=True)]
-    coverages = benchmark.pedantic(_mean_coverage, args=(designs,),
-                                   rounds=1, iterations=1)
+    coverages = _mean_coverage(designs)
     _print("SMNM vs counting-SMNM", coverages)
     assert coverages["SMNM_13x2c"] >= coverages["SMNM_13x2"] - 1e-9
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_bloom_baseline(benchmark):
+def test_ablation_bloom_baseline():
     """Counting-Bloom baseline vs TMNM at comparable bit budgets.
 
     TMNM_12x3 = 3 * 2^12 * 3 bits; BLOOM_13x3 = 2^13 * 4 bits (~1/1.1x).
     The mixing hashes should make the Bloom competitive per bit.
     """
     designs = [tmnm_design(12, 3), bloom_design(13, 3), bloom_design(13, 1)]
-    coverages = benchmark.pedantic(_mean_coverage, args=(designs,),
-                                   rounds=1, iterations=1)
+    coverages = _mean_coverage(designs)
     _print("Bloom baseline vs TMNM", coverages)
     assert coverages["BLOOM_13x3"] >= coverages["BLOOM_13x1"] - 0.02
     assert coverages["BLOOM_13x3"] > 0.0

@@ -3,28 +3,26 @@
 The paper's techniques explicitly do not assume inclusion (Section 3).
 An inclusive hierarchy changes the event streams the filters observe —
 back-invalidations are extra replacements, which the RMNM in particular
-feeds on — and shrinks the effective closer-level capacity.  This bench
+feeds on — and shrinks the effective closer-level capacity.  This check
 measures HMNM2 and RMNM coverage under both policies.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.machine import MostlyNoMachine
 from repro.core.presets import hmnm_design, rmnm_design
 from repro.analysis.coverage import CoverageMeter
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOAD = "twolf"
 
 
 def _coverage(inclusive: bool):
-    trace = get_trace(WORKLOAD, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(WORKLOAD, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     references = list(trace.memory_references())
-    warmup = int(len(references) * BENCH_SETTINGS.warmup_fraction)
+    warmup = int(len(references) * PAPER_SETTINGS.warmup_fraction)
 
     hierarchy = CacheHierarchy(paper_hierarchy_5level(),
                                inclusive=inclusive)
@@ -49,15 +47,11 @@ def _coverage(inclusive: bool):
     )
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_inclusion_policy(benchmark):
-    def run_both():
-        return {
-            "non-inclusive": _coverage(False),
-            "inclusive": _coverage(True),
-        }
-
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_ablation_inclusion_policy():
+    results = {
+        "non-inclusive": _coverage(False),
+        "inclusive": _coverage(True),
+    }
     print(f"\n== ablation: inclusion policy ({WORKLOAD}) ==")
     for policy, (coverages, violations, back_invals) in results.items():
         parts = "  ".join(f"{name}:{value * 100:5.1f}%"

@@ -1,15 +1,12 @@
 """Ablation: the three-C miss decomposition explains RMNM coverage.
 
 Section 3.1 of the paper: the RMNM can only ever catch conflict and
-capacity misses — a cold miss has no replacement to record.  This bench
+capacity misses — a cold miss has no replacement to record.  This check
 classifies each workload's ul3 misses (cold/capacity/conflict) and checks
 the prediction: RMNM coverage at ul3 never exceeds the non-cold miss
 fraction, and workloads with more non-cold misses get more RMNM coverage.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.analysis.coverage import CoverageMeter, MissClass, MissClassifier
 from repro.cache.cache import AccessKind
 from repro.cache.hierarchy import CacheHierarchy
@@ -17,16 +14,17 @@ from repro.cache.presets import paper_hierarchy_5level
 from repro.core.machine import MostlyNoMachine
 from repro.core.presets import rmnm_design
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOADS = ("twolf", "gcc", "mcf", "apsi")
 TARGET = "ul3"
 
 
 def _run_one(workload):
-    trace = get_trace(workload, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(workload, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     references = list(trace.memory_references())
-    warmup = int(len(references) * BENCH_SETTINGS.warmup_fraction)
+    warmup = int(len(references) * PAPER_SETTINGS.warmup_fraction)
 
     hierarchy = CacheHierarchy(paper_hierarchy_5level())
     machine = MostlyNoMachine(hierarchy, rmnm_design(4096, 8))
@@ -57,12 +55,8 @@ def _run_one(workload):
     }
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_rmnm_vs_miss_classes(benchmark):
-    def run_all():
-        return {workload: _run_one(workload) for workload in WORKLOADS}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablation_rmnm_vs_miss_classes():
+    results = {workload: _run_one(workload) for workload in WORKLOADS}
     print("\n== ablation: RMNM coverage vs cold-miss share at ul3 ==")
     for workload, numbers in results.items():
         ceiling = 1.0 - numbers["cold"]

@@ -1,27 +1,25 @@
 """Ablation: MNM placement (parallel / serial / distributed).
 
-Section 2 of the paper describes the placements qualitatively; this bench
+Section 2 of the paper describes the placements qualitatively; this check
 quantifies the triangle on one design (HMNM2): parallel wins time (its
 delay hides under L1), serial and distributed trade delay for energy, and
 distributed pays the least MNM energy of all (only reached levels consult
 their slice).
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.base import Placement
 from repro.core.presets import hmnm_design
 from repro.simulate import run_reference_pass
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOAD = "gcc"
 
 
 def _run():
-    trace = get_trace(WORKLOAD, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(WORKLOAD, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     hierarchy = paper_hierarchy_5level()
     designs = [
         hmnm_design(2).with_placement(placement)
@@ -34,7 +32,7 @@ def _run():
     for design in designs:
         result = run_reference_pass(
             references, hierarchy, [design], WORKLOAD,
-            warmup=int(len(references) * BENCH_SETTINGS.warmup_fraction),
+            warmup=int(len(references) * PAPER_SETTINGS.warmup_fraction),
         )
         entry = result.designs[design.name]
         results[design.placement.value] = {
@@ -46,9 +44,8 @@ def _run():
     return results
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_placement(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_placement():
+    results = _run()
     print(f"\n== ablation: MNM placement (HMNM2, {WORKLOAD}) ==")
     for placement, numbers in results.items():
         print(f"  {placement:12} access-time {numbers['access_time']:9} "

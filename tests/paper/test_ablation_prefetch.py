@@ -1,7 +1,7 @@
 """Ablation: does sequential prefetching erode the MNM's opportunity?
 
 Stream buffers / prefetchers hide exactly the sequential misses that are
-easiest for the MNM to prove too.  This bench measures, on a streaming
+easiest for the MNM to prove too.  This check measures, on a streaming
 workload (applu) and a pointer workload (mcf), the perfect-MNM
 access-time headroom with and without a degree-2 next-line prefetcher.
 
@@ -11,22 +11,20 @@ cannot anticipate) — i.e. the two mechanisms are complementary on
 irregular codes.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.cache.cache import AccessKind
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.presets import perfect_design
 from repro.simulate import build_memory
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 
 def _headroom(workload: str, prefetch_degree: int) -> float:
     """Perfect-MNM share of total access time saved, with/without PF."""
-    trace = get_trace(workload, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(workload, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     references = list(trace.memory_references())
-    warmup = int(len(references) * BENCH_SETTINGS.warmup_fraction)
+    warmup = int(len(references) * PAPER_SETTINGS.warmup_fraction)
 
     baseline = build_memory(paper_hierarchy_5level(), None,
                             with_energy=False,
@@ -54,9 +52,8 @@ def _run():
     return results
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_prefetch_interaction(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_prefetch_interaction():
+    results = _run()
     print("\n== ablation: perfect-MNM headroom vs prefetching ==")
     for workload, numbers in results.items():
         print(f"  {workload:8} plain {numbers['plain'] * 100:5.1f}%  "

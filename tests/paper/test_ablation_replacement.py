@@ -1,7 +1,7 @@
 """Ablation: replacement policy vs RMNM coverage.
 
 The RMNM records *replacements*, so the hierarchy's replacement policy
-literally decides what it gets to learn.  This bench runs the same
+literally decides what it gets to learn.  This check runs the same
 workload under LRU, FIFO and tree-PLRU hierarchies and reports the
 coverage of a large RMNM plus per-policy eviction counts.
 
@@ -10,9 +10,6 @@ soundness holds under every policy — the filter never assumes anything
 about the victim-selection discipline.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.analysis.coverage import CoverageMeter
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.presets import paper_hierarchy_5level
@@ -20,16 +17,17 @@ from repro.core.machine import MostlyNoMachine
 from repro.core.presets import rmnm_design
 from repro.workloads import get_trace
 from tests.cache.test_policy_integration import replace_policy
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOAD = "apsi"  # conflict-heavy: the RMNM's best case
 POLICIES = ("lru", "fifo", "plru")
 
 
 def _coverage(policy: str):
-    trace = get_trace(WORKLOAD, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(WORKLOAD, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     references = list(trace.memory_references())
-    warmup = int(len(references) * BENCH_SETTINGS.warmup_fraction)
+    warmup = int(len(references) * PAPER_SETTINGS.warmup_fraction)
 
     config = replace_policy(paper_hierarchy_5level(), policy)
     hierarchy = CacheHierarchy(config)
@@ -47,12 +45,8 @@ def _coverage(policy: str):
     return meter, evictions
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_replacement_policy(benchmark):
-    def run_all():
-        return {policy: _coverage(policy) for policy in POLICIES}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_ablation_replacement_policy():
+    results = {policy: _coverage(policy) for policy in POLICIES}
     print(f"\n== ablation: replacement policy vs RMNM ({WORKLOAD}) ==")
     for policy, (meter, evictions) in results.items():
         print(f"  {policy:5} coverage {meter.coverage * 100:5.1f}%  "

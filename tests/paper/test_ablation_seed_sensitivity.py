@@ -1,35 +1,29 @@
 """Ablation: seed sensitivity of the headline coverage claims.
 
 Each workload trace is one draw from the generator's distribution; this
-bench re-runs the CMNM coverage figure under three seeds and checks the
+check re-runs the CMNM coverage figure under three seeds and checks the
 claims the reproduction rests on are stable draws, not single-seed luck:
 
 * CMNM coverage is monotone in configuration size for every seed;
 * the cross-seed spread of the mean coverage is modest.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.analysis.stats import run_multi_seed
 from repro.experiments.base import ExperimentSettings
 from repro.experiments.figures import run_figure13
+from tests.paper.conftest import PAPER_SETTINGS
 
 SETTINGS = ExperimentSettings(
-    num_instructions=BENCH_SETTINGS.num_instructions,
-    warmup_fraction=BENCH_SETTINGS.warmup_fraction,
+    num_instructions=PAPER_SETTINGS.num_instructions,
+    warmup_fraction=PAPER_SETTINGS.warmup_fraction,
     workloads=("twolf", "gcc", "mcf"),
 )
 
 SEEDS = (0, 1, 2)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_seed_sensitivity(benchmark):
-    aggregated = benchmark.pedantic(
-        run_multi_seed, args=(run_figure13, SETTINGS, SEEDS),
-        rounds=1, iterations=1,
-    )
+def test_ablation_seed_sensitivity():
+    aggregated = run_multi_seed(run_figure13, SETTINGS, SEEDS)
     print("\n== ablation: seed sensitivity of Figure 13 (3 seeds) ==")
     for header in aggregated.headers[1:]:
         cell = aggregated.cell("Arith. Mean", header)

@@ -2,27 +2,25 @@
 
 The paper positions the MNM against way prediction (Section 5): way
 prediction saves data-array reads on *hits*, the MNM saves whole lookups
-on *misses*.  This bench runs both on the dl2 access stream of one
+on *misses*.  This check runs both on the dl2 access stream of one
 workload and shows the split — and that the savings compose, since they
 trigger on disjoint accesses.
 """
 
-import pytest
-
-from benchmarks.conftest import BENCH_SETTINGS
 from repro.cache.cache import AccessKind
 from repro.cache.presets import paper_hierarchy_5level
 from repro.core.presets import perfect_design
 from repro.core.waypred import WayPredictionMeter
 from repro.simulate import build_memory
 from repro.workloads import get_trace
+from tests.paper.conftest import PAPER_SETTINGS
 
 WORKLOAD = "twolf"
 
 
 def _run():
-    trace = get_trace(WORKLOAD, BENCH_SETTINGS.num_instructions,
-                      BENCH_SETTINGS.seed)
+    trace = get_trace(WORKLOAD, PAPER_SETTINGS.num_instructions,
+                      PAPER_SETTINGS.seed)
     hierarchy_config = paper_hierarchy_5level()
 
     # 1. collect the dl2 access stream (dl1 misses) from a baseline run
@@ -66,9 +64,8 @@ def _run():
     }
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_waypred_vs_mnm(benchmark):
-    numbers = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_ablation_waypred_vs_mnm():
+    numbers = _run()
     print(f"\n== ablation: way prediction vs MNM on dl2 ({WORKLOAD}) ==")
     print(f"  way-pred accuracy on hits:   {numbers['waypred_accuracy'] * 100:5.1f}%")
     print(f"  way-pred data-read energy:   {numbers['waypred_energy_ratio'] * 100:5.1f}% of baseline")

@@ -1,18 +1,15 @@
-"""Benchmark regenerating Figure 2: miss share of data access time vs depth.
+"""Regenerates Figure 2: miss share of data access time vs depth.
 
 Expected shape (paper): the fraction grows with hierarchy depth, reaching
 roughly a quarter of the data access time at 5 levels.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure2
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig02")
-def test_fig02_miss_time_fraction(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure2, bench_settings)
+def test_fig02_miss_time_fraction(paper_settings):
+    result = run_and_print(run_figure2, paper_settings)
     mean = result.rows[-1]
     depth_means = mean[1:]
     # the 5-level fraction must be substantial and larger than 2-level

@@ -1,19 +1,16 @@
-"""Benchmark regenerating Figure 3: miss share of cache energy vs depth.
+"""Regenerates Figure 3: miss share of cache energy vs depth.
 
 Expected shape (paper): ~18% of cache energy goes to miss probes at 5
 levels; the fraction generally grows with depth but less steeply than the
 time fraction (big outer caches have small miss rates).
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure3
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig03")
-def test_fig03_miss_power_fraction(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure3, bench_settings)
+def test_fig03_miss_power_fraction(paper_settings):
+    result = run_and_print(run_figure3, paper_settings)
     mean = result.rows[-1]
     five_level = mean[3]
     assert 2.0 < five_level < 60.0

@@ -1,19 +1,16 @@
-"""Benchmark regenerating Figure 10: RMNM coverage for four geometries.
+"""Regenerates Figure 10: RMNM coverage for four geometries.
 
 Expected shape (paper): coverage grows with the RMNM cache size; the
 average stays modest (RMNM only sees conflict/capacity misses), and
 cold-miss-dominated apps (mcf) sit near the bottom.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure10
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig10")
-def test_fig10_rmnm_coverage(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure10, bench_settings)
+def test_fig10_rmnm_coverage(paper_settings):
+    result = run_and_print(run_figure10, paper_settings)
     assert "WARNING" not in result.notes
     mean = result.rows[-1]
     small, large = mean[1], mean[4]

@@ -1,4 +1,4 @@
-"""Benchmark regenerating Figure 12: TMNM coverage for four configurations.
+"""Regenerates Figure 12: TMNM coverage for four configurations.
 
 Expected shape (paper): TMNM_12x3 the best of the four; extra parallel
 tables and wider indices can only add coverage.  The asserted orderings
@@ -9,15 +9,12 @@ beats the larger 11x2 is workload-dependent and does not reproduce on the
 synthetic traces (11x2 wins here) — recorded in EXPERIMENTS.md.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure12
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_tmnm_coverage(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure12, bench_settings)
+def test_fig12_tmnm_coverage(paper_settings):
+    result = run_and_print(run_figure12, paper_settings)
     assert "WARNING" not in result.notes
     mean = result.rows[-1]
     tmnm_10x1, tmnm_11x2, tmnm_10x3, tmnm_12x3 = mean[1:5]

@@ -1,19 +1,16 @@
-"""Benchmark regenerating Figure 15: execution-cycle reduction (parallel MNM).
+"""Regenerates Figure 15: execution-cycle reduction (parallel MNM).
 
 Expected shape (paper): every design's reduction is bounded by the perfect
 MNM; the hybrids beat the single techniques on average; low-coverage apps
 (mcf) realise the smallest share of the perfect bound.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure15
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig15")
-def test_fig15_execution_cycles(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure15, bench_settings)
+def test_fig15_execution_cycles(paper_settings):
+    result = run_and_print(run_figure15, paper_settings)
     perfect_column = len(result.headers) - 1
     for row in result.rows:
         perfect = row[perfect_column]

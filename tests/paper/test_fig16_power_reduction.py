@@ -1,4 +1,4 @@
-"""Benchmark regenerating Figure 16: cache power reduction (serial MNM).
+"""Regenerates Figure 16: cache power reduction (serial MNM).
 
 Expected shape (paper): the perfect MNM (free, by assumption) gives the
 largest reduction; real designs pay their own lookup energy, so their
@@ -6,15 +6,12 @@ savings are a fraction of the oracle's and can approach zero on
 low-coverage apps (mcf).
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.figures import run_figure16
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="fig16")
-def test_fig16_power_reduction(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_figure16, bench_settings)
+def test_fig16_power_reduction(paper_settings):
+    result = run_and_print(run_figure16, paper_settings)
     perfect_column = len(result.headers) - 1
     mean = result.rows[-1]
     assert mean[perfect_column] > 0.0

@@ -1,19 +1,16 @@
-"""Benchmark regenerating Table 1: the RMNM worked example.
+"""Regenerates Table 1: the RMNM worked example.
 
-The scenario is executed against the real RMNM cache; the bench asserts
+The scenario is executed against the real RMNM cache; the check asserts
 the paper's punchline — the access after the replacement is identified as
 a definite L2 miss.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.tables import run_table1
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_rmnm_scenario(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_table1, bench_settings)
+def test_table1_rmnm_scenario(paper_settings):
+    result = run_and_print(run_table1, paper_settings)
     assert "YES" in result.notes
     answers = {row[0]: row[1] for row in result.rows}
     assert answers["access to 0x2fc0 arrives"] == "miss"

@@ -1,18 +1,15 @@
-"""Benchmark regenerating Table 2: workload characteristics.
+"""Regenerates Table 2: workload characteristics.
 
 Expected shape: ten rows of per-level hit rates on the 5-level hierarchy;
 L1 rates high for cache-friendly apps, mcf clearly memory-bound.
 """
 
-import pytest
-
-from benchmarks.conftest import run_and_print
 from repro.experiments.tables import run_table2
+from tests.paper.conftest import run_and_print
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_characteristics(benchmark, bench_settings):
-    result = run_and_print(benchmark, run_table2, bench_settings)
+def test_table2_characteristics(paper_settings):
+    result = run_and_print(run_table2, paper_settings)
     by_app = {row[0]: row for row in result.rows}
     dl1 = result.headers.index("dl1 hit%")
     # mcf is the memory-bound outlier; twolf/bzip2 are cache-friendly
