@@ -12,6 +12,7 @@ from tests.golden.make_digests import (
     compute,
     compute_cpu,
     compute_multicore,
+    compute_traces,
     load,
 )
 
@@ -35,3 +36,8 @@ def test_multicore_digests(engine):
 def test_cpu_digests():
     """The core alone; no engine is involved."""
     assert_match(load("cpu/"), compute_cpu())
+
+
+def test_trace_digests():
+    """The traces and both streams derived from them; no engine either."""
+    assert_match(load("trace/"), compute_traces())
