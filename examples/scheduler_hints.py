@@ -74,7 +74,7 @@ def run(workload: str, instructions: int) -> None:
         memory = HintedMemory(build_memory(hierarchy_config, design),
                               headstart)
         core = OutOfOrderCore(paper_core(8), memory)
-        result = core.run(trace.instructions, warmup=warmup,
+        result = core.run(trace, warmup=warmup,
                           on_warmup_end=memory.reset_meters)
         results[label] = (result.cycles, memory.hinted_loads)
 

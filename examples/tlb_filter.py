@@ -14,16 +14,19 @@ Usage::
 
 import sys
 
+import numpy as np
+
 from repro import get_trace
 from repro.analysis.report import TextTable, banner
 from repro.cache.tlb import TwoLevelTLB, default_tlb_pair
 from repro.core.tmnm import TMNM
+from repro.cpu.isa import MEMORY_OP_CODES
 
 
 def run(workload: str, instructions: int) -> None:
     trace = get_trace(workload, instructions)
-    addresses = [inst.addr for inst in trace.instructions
-                 if inst.op.is_memory]
+    columns = trace.columns
+    addresses = columns.addr[np.isin(columns.op, MEMORY_OP_CODES)].tolist()
 
     l1, l2 = default_tlb_pair()
     plain = TwoLevelTLB(l1, l2, walk_latency=60)

@@ -426,11 +426,10 @@ def run_core_trace(
     """
     _check_engine(engine)
     _check_warmup(warmup)
-    if warmup >= len(trace.instructions):
+    if warmup >= len(trace):
         raise ValueError(
             f"core trace {trace.name!r} measured nothing: warmup={warmup} "
-            f"covers the entire trace ({len(trace.instructions)} "
-            f"instructions)"
+            f"covers the entire trace ({len(trace)} instructions)"
         )
     if core_config is None:
         core_config = paper_core(8)
@@ -440,13 +439,13 @@ def run_core_trace(
         memory, replayed = _kernel_memory(trace, hierarchy_config, design,
                                           warmup)
         core = OutOfOrderCore(core_config, replayed, predictor)
-        result = core.run(trace.instructions, warmup=warmup,
+        result = core.run(trace, warmup=warmup,
                           on_warmup_end=replayed.end_warmup)
         replayed.finish()
     else:
         memory = build_memory(hierarchy_config, design)
         core = OutOfOrderCore(core_config, memory, predictor)
-        result = core.run(trace.instructions, warmup=warmup,
+        result = core.run(trace, warmup=warmup,
                           on_warmup_end=memory.reset_meters)
     stats = {
         cache.config.name: (cache.stats.probes, cache.stats.hits)
@@ -499,8 +498,7 @@ def _kernel_memory(
 
     level_one = hierarchy_config.tiers[0]
     fetch_block = (level_one.unified or level_one.instruction).block_size
-    addresses, kinds, boundary = core_references(trace.instructions,
-                                                 fetch_block, warmup)
+    addresses, kinds, boundary = core_references(trace, fetch_block, warmup)
     recording = record(addresses, kinds, hierarchy_config, reset_at=boundary)
     memory = build_memory(hierarchy_config, design,
                           hierarchy=recording.hierarchy)

@@ -17,7 +17,12 @@ import random
 import zlib
 from typing import List
 
-from repro.cpu.isa import INSTRUCTION_BYTES, Instruction, OpClass
+from repro.cpu.isa import (
+    INSTRUCTION_BYTES,
+    OP_CODES,
+    InstructionColumns,
+    OpClass,
+)
 from repro.workloads.patterns import (
     AddressPattern,
     HotColdPattern,
@@ -52,6 +57,9 @@ FUNCTION_INSTRUCTIONS = 64
 #: How many registers rotate as destinations (the rest stay read-only).
 _FIRST_DEST = 8
 _LAST_DEST = 31
+
+_LOAD, _STORE, _BRANCH = (
+    OP_CODES[op.value] for op in (OpClass.LOAD, OpClass.STORE, OpClass.BRANCH))
 
 
 def _build_pattern(
@@ -185,16 +193,25 @@ class TraceGenerator:
 
     def generate(self, num_instructions: int) -> Trace:
         """Produce a trace of at least ``num_instructions`` instructions
-        (rounded up to the end of the final loop episode)."""
+        (rounded up to the end of the final loop episode).
+
+        Each instruction is appended as one row of column values, with
+        its random draws made in field order; the rows become the trace's
+        columns at the end.  No :class:`Instruction` object is built.
+        """
         if num_instructions < 1:
             raise ValueError(
                 f"num_instructions must be >= 1, got {num_instructions}"
             )
         profile = self.profile
         rng = self._rng
-        out: List[Instruction] = []
+        source = self._source
+        next_dest = self._next_dest
+        data_address = self._data_address
+        rows: List[tuple] = []
+        append = rows.append
 
-        while len(out) < num_instructions:
+        while len(rows) < num_instructions:
             function_base = self._choose_function()
             body_len = max(
                 4, int(rng.gauss(profile.loop_body, profile.loop_body * 0.25))
@@ -209,65 +226,56 @@ class TraceGenerator:
                     profile.loop_iterations * 4,
                 ),
             )
-            plan = self._plan_body(body_len)
+            plan = [OP_CODES[op.value] for op in self._plan_body(body_len)]
 
             for iteration in range(iterations):
                 slot = 0
                 while slot < body_len:
                     op = plan[slot]
                     pc = loop_start + slot * INSTRUCTION_BYTES
-                    is_loop_branch = slot == body_len - 1
-                    if op is OpClass.LOAD:
+                    # Row fields: op, pc, dest, src1, src2, addr, taken,
+                    # target (InstructionColumns order).
+                    if op == _LOAD:
                         # Address registers are usually ready well before
                         # the load issues (induction variables, base
                         # pointers); tying them to the newest producers
                         # would serialise every load behind the previous
                         # instruction, which real code does not do.
                         address_reg = (
-                            self._source()
-                            if self._rng.random() < 0.25
-                            else self._rng.randrange(0, _FIRST_DEST)
+                            source()
+                            if rng.random() < 0.25
+                            else rng.randrange(0, _FIRST_DEST)
                         )
-                        out.append(Instruction(
-                            op=op, pc=pc, dest=self._next_dest(),
-                            src1=address_reg, addr=self._data_address(),
-                        ))
-                    elif op is OpClass.STORE:
-                        out.append(Instruction(
-                            op=op, pc=pc, src1=self._source(),
-                            src2=self._source(), addr=self._data_address(),
-                        ))
-                    elif op is OpClass.BRANCH and is_loop_branch:
+                        append((op, pc, next_dest(), address_reg, -1,
+                                data_address(), False, -1))
+                    elif op == _STORE:
+                        append((op, pc, -1, source(), source(),
+                                data_address(), False, -1))
+                    elif op == _BRANCH and slot == body_len - 1:
                         # loop branches test an induction variable held in
                         # a stable register — they never wait on loads
-                        taken = iteration != iterations - 1
-                        out.append(Instruction(
-                            op=op, pc=pc,
-                            src1=self._rng.randrange(0, _FIRST_DEST),
-                            taken=taken, target=loop_start,
-                        ))
-                    elif op is OpClass.BRANCH:
+                        append((op, pc, -1, rng.randrange(0, _FIRST_DEST),
+                                -1, -1, iteration != iterations - 1,
+                                loop_start))
+                    elif op == _BRANCH:
                         # data-dependent forward branch over one instruction
-                        if self._rng.random() < profile.branch_bias:
+                        if rng.random() < profile.branch_bias:
                             taken = self._last_data_branch
                         else:
                             taken = not self._last_data_branch
                         self._last_data_branch = taken
-                        out.append(Instruction(
-                            op=op, pc=pc, src1=self._source(), taken=taken,
-                            target=pc + 2 * INSTRUCTION_BYTES,
-                        ))
+                        append((op, pc, -1, source(), -1, -1, taken,
+                                pc + 2 * INSTRUCTION_BYTES))
                         if taken:
                             slot += 1  # the skipped instruction never commits
                     else:
-                        out.append(Instruction(
-                            op=op, pc=pc, dest=self._next_dest(),
-                            src1=self._source(), src2=self._source(),
-                        ))
+                        append((op, pc, next_dest(), source(), source(),
+                                -1, False, -1))
                     slot += 1
 
         return Trace(
-            name=profile.name, seed=self.seed, instructions=out,
+            name=profile.name, seed=self.seed,
+            instructions=InstructionColumns.of(*zip(*rows)),
             description=profile.description,
         )
 
