@@ -20,7 +20,7 @@ capacity/latency monotonically, with the 7-level variant extending the
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 from repro.cache.cache import CacheConfig, CacheSide
 from repro.cache.hierarchy import HierarchyConfig, TierConfig
@@ -130,6 +130,11 @@ _PRESETS: Dict[str, Callable[[], HierarchyConfig]] = {
     "5level": paper_hierarchy_5level,
     "7level": paper_hierarchy_7level,
 }
+
+
+#: The hierarchy depths Figures 2 and 3 and the depth extension compare,
+#: shallowest first.
+DEPTH_PRESETS: Tuple[str, ...] = ("2level", "3level", "5level", "7level")
 
 
 def hierarchy_preset(name: str) -> HierarchyConfig:

@@ -40,7 +40,6 @@ class TelemetryFlags:
     """Which telemetry pieces workers should record for the parent."""
 
     metrics: bool
-    profile: bool
     spans: bool = False
 
 
@@ -50,7 +49,6 @@ class TaskOutcome:
 
     result: Any
     metrics: Optional[dict]
-    profile: Optional[Dict[str, dict]]
     elapsed: float = 0.0
     spans: Optional[dict] = None
 
@@ -59,7 +57,6 @@ def current_telemetry_flags() -> TelemetryFlags:
     """Flags describing what the calling process has enabled."""
     return TelemetryFlags(
         metrics=telemetry.get_registry().enabled,
-        profile=telemetry.get_profiler().enabled,
         spans=telemetry.get_spans().enabled,
     )
 
@@ -74,8 +71,8 @@ def run_task(
 ) -> TaskOutcome:
     """Worker entry point: execute one task with local telemetry.
 
-    Runs in the pool process.  The worker gets its own registry/profiler
-    (and span recorder when the parent is building a run manifest) so
+    Runs in the pool process.  The worker gets its own registry (and
+    span recorder when the parent is building a run manifest) so
     the returned snapshots contain exactly this task's recordings, and
     its own pass cache configured like the parent's — with a shared
     ``--cache-dir`` the worker itself persists the result to disk.  The
@@ -86,7 +83,6 @@ def run_task(
     configure_pass_cache(cache_dir=cache_dir, enabled=cache_enabled)
     injector = faults.configure_faults(fault_spec) if fault_spec else None
     registry = telemetry.enable_metrics() if flags.metrics else None
-    profiler = telemetry.enable_profiling() if flags.profile else None
     spans = telemetry.enable_spans() if flags.spans else None
     try:
         if injector is not None:
@@ -101,7 +97,6 @@ def run_task(
         return TaskOutcome(
             result=result,
             metrics=registry.snapshot() if registry is not None else None,
-            profile=profiler.snapshot() if profiler is not None else None,
             elapsed=time.perf_counter() - started,
             spans=spans.snapshot() if spans is not None else None,
         )
@@ -183,7 +178,6 @@ class PoolBackend:
         """
         jobs = self.jobs
         registry = telemetry.get_registry()
-        profiler = telemetry.get_profiler()
         spans = telemetry.get_spans()
         cache = get_pass_cache()
         logger = telemetry.get_logger("executor")
@@ -298,8 +292,6 @@ class PoolBackend:
                         # (below) keeps the per-task attribution the
                         # aggregate merge would otherwise lose.
                         registry.merge_snapshot(outcome.metrics)
-                    if outcome.profile is not None:
-                        profiler.merge_snapshot(outcome.profile)
                     if outcome.spans is not None:
                         spans.merge_remote(outcome.spans, task=task_id,
                                            attempt=attempts[index],

@@ -8,7 +8,8 @@ cache-key digest, which is also the filename of the result pickle in the
 run directory's pass cache — and is flushed after **every** task, so the
 instant a pass finishes it is durable.
 
-``repro-mnm run/all/report --resume <dir>`` owns this layout::
+``repro-mnm run/all/report/search/multicore --run-dir <dir>`` owns this
+layout (with the run manifest beside it, see :mod:`repro.obs.manifest`)::
 
     <dir>/journal.jsonl     # header line + one line per completed task
     <dir>/passes/           # the disk pass cache (see passcache.py)
@@ -28,7 +29,7 @@ Write discipline (the same contract the pass cache pins):
   line that does not decode or parse — truncating an entry at *any*
   byte offset (including inside a multibyte UTF-8 sequence) costs one
   recomputed task plus a ``checkpoint.journal.torn`` counter bump and a
-  warning, never a misread journal or a crashed ``--resume``.
+  warning, never a misread journal or a crashed resume.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class RunJournal:
         skipped, counted (``checkpoint.journal.torn``) and warned about.
         The file is read as *bytes* and decoded per line: a truncation
         inside a multibyte UTF-8 sequence used to raise
-        ``UnicodeDecodeError`` out of ``--resume``; now it is just one
+        ``UnicodeDecodeError`` out of a resumed run; now it is just one
         more torn line.
         """
         self._completed.clear()

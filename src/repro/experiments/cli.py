@@ -7,10 +7,9 @@ Examples::
     repro-mnm all --skip-heavy
     repro-mnm all --output results.txt
     repro-mnm run fig10 --metrics-out metrics.json --trace-out trace.jsonl
-    repro-mnm all --profile            # writes BENCH_telemetry.json
-    repro-mnm all --resume runs/full   # journaled; re-run to resume
+    repro-mnm all --run-dir runs/full  # journaled; re-run to resume
     repro-mnm report --jobs 4 --run-dir runs/nightly   # + manifest.json
-    repro-mnm obs show runs/nightly
+    repro-mnm obs show runs/nightly    # timeline, work per task kind
     repro-mnm obs diff runs/last runs/nightly
     repro-mnm run fig15 --retries 3 --task-timeout 600
     repro-mnm search --space paper --sampler random --samples 32 \\
@@ -26,7 +25,7 @@ one-line message instead of a raw traceback:
 ====  =======================================================
 0     success
 2     usage error (argparse: unknown flag, missing argument)
-3     bad path (``--cache-dir``/``--resume``/output directory,
+3     bad path (``--cache-dir``/``--run-dir``/output directory,
       a ``check`` path, an unreadable ``telemetry summary`` file)
 4     invalid value (``--instructions``, ``--warmup-fraction``,
       ``--workloads``, ``--retries``, ``--task-timeout``,
@@ -36,8 +35,8 @@ one-line message instead of a raw traceback:
 5     unknown experiment id
 6     a simulation task failed after exhausting its retries
 7     ``repro-mnm check`` reported static-analysis findings
-130   interrupted (Ctrl-C or SIGTERM) — journaled runs resume with
-      ``--resume``
+130   interrupted (Ctrl-C or SIGTERM) — journaled runs resume when
+      re-run with the same ``--run-dir``
 ====  =======================================================
 
 SIGTERM is handled exactly like Ctrl-C: the journal is flushed, a
@@ -203,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "summary",
         help="pretty-print a metrics snapshot (JSON) or aggregate a "
              "decision trace (JSONL) back to its bypass counters")
-    tele_summary.add_argument("path", help="metrics/trace/profile file")
+    tele_summary.add_argument("path", help="metrics or trace file")
 
     from repro.obs.cli import add_obs_parser
 
@@ -242,14 +241,6 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-sample", type=float, default=1.0,
                         help="decision-trace sampling rate in (0, 1] "
                              "(default 1.0 = every access)")
-    parser.add_argument("--profile", action="store_true",
-                        help="time simulation phases and per-experiment "
-                             "wall-clock; writes a machine-readable "
-                             "profile (see --profile-out)")
-    parser.add_argument("--profile-out", type=str,
-                        default="BENCH_telemetry.json",
-                        help="profile output path used with --profile "
-                             "(default BENCH_telemetry.json)")
     parser.add_argument("--jobs", type=int, default=0,
                         help="worker processes for independent simulation "
                              "passes (0 = auto: one per CPU; results are "
@@ -268,16 +259,13 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
                         help="seconds a parallel task may run before its "
                              "worker is presumed hung, killed and the task "
                              "retried (default: no timeout)")
-    parser.add_argument("--resume", type=str, default="",
-                        help="journaled run directory: created on first "
-                             "use; re-running after an interruption skips "
-                             "every already-completed pass (implies a disk "
-                             "pass cache in <dir>/passes)")
     parser.add_argument("--run-dir", type=str, default="",
-                        help="observed run directory: everything --resume "
-                             "does, plus structured spans and a "
-                             "manifest.json written beside the journal "
-                             "(see 'repro-mnm obs')")
+                        help="journaled, observed run directory: created "
+                             "on first use; re-running after an "
+                             "interruption skips every already-completed "
+                             "pass (a disk pass cache in <dir>/passes); "
+                             "spans and a manifest.json are written beside "
+                             "the journal (see 'repro-mnm obs')")
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
@@ -343,9 +331,6 @@ def _enable_telemetry(args: argparse.Namespace) -> None:
         _check_output_dir("--trace-out", args.trace_out)
         telemetry.enable_tracing(args.trace_out,
                                  sample_rate=args.trace_sample)
-    if args.profile:
-        _check_output_dir("--profile-out", args.profile_out)
-        telemetry.enable_profiling()
 
 
 def _build_policy(args: argparse.Namespace) -> ExecutionPolicy:
@@ -360,52 +345,7 @@ def _build_policy(args: argparse.Namespace) -> ExecutionPolicy:
     return policy_from_cli(args.retries, args.task_timeout, seed=args.seed)
 
 
-def _bench_payload(settings: ExperimentSettings, command: str) -> dict:
-    """The machine-readable profile document (``BENCH_telemetry.json``).
-
-    Records per-experiment wall-clock and the simulation throughputs
-    (references/sec for reference passes, instructions/sec for core
-    runs).  Besides the nested views it carries ``schema``
-    (``repro-bench/v1``), ``created_by`` and the same numbers as one
-    flat ``metrics`` dict.
-    """
-    profiler = telemetry.get_profiler()
-    phases = profiler.snapshot()
-    experiments = {
-        name.split(".", 1)[1]: stats["seconds"]
-        for name, stats in phases.items()
-        if name.startswith("experiment.")
-    }
-    throughput = {}
-    pass_stats = profiler.stats_for("reference_pass")
-    if pass_stats is not None and pass_stats.units:
-        throughput["references_per_sec"] = pass_stats.per_sec
-    core_stats = profiler.stats_for("core_trace")
-    if core_stats is not None and core_stats.units:
-        throughput["instructions_per_sec"] = core_stats.per_sec
-    metrics = {f"experiments.{name}": seconds
-               for name, seconds in experiments.items()}
-    metrics.update({f"throughput.{name}": value
-                    for name, value in throughput.items()})
-    return {
-        "schema": "repro-bench/v1",
-        "created_by": "profile",
-        "metrics": metrics,
-        "command": command,
-        "settings": {
-            "instructions": settings.num_instructions,
-            "warmup_fraction": settings.warmup_fraction,
-            "seed": settings.seed,
-            "workloads": list(settings.workload_list),
-        },
-        "experiments": experiments,
-        "throughput": throughput,
-        "phases": phases,
-    }
-
-
-def _write_telemetry_outputs(args: argparse.Namespace,
-                             settings: ExperimentSettings) -> None:
+def _write_telemetry_outputs(args: argparse.Namespace) -> None:
     """Flush the enabled telemetry pieces to their output files."""
     logger = telemetry.get_logger("telemetry")
     if args.metrics_out:
@@ -419,24 +359,24 @@ def _write_telemetry_outputs(args: argparse.Namespace,
             records=tracer.emitted, dropped=tracer.dropped,
             bytes=tracer.bytes_written,
         )
-    if args.profile:
-        payload = _bench_payload(settings, args.command)
-        with open(args.profile_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        for name, stats in sorted(payload["phases"].items()):
-            line = f"{name}: {stats['seconds']:.2f}s"
-            if "per_sec" in stats:
-                line += (f" ({stats['per_sec']:.0f} "
-                         f"{stats['unit_name']}/s)")
-            logger.info(line)
-        logger.info(f"profile written to {args.profile_out}")
+
+
+#: Parsed arguments that change only how or where a run executes or
+#: writes, never what it simulates.  Every other argument enters the
+#: manifest fingerprint, so a flag missing here can cause a spurious
+#: ``obs diff`` mismatch warning but never a false match.
+_EXECUTION_ONLY_ARGS = frozenset({
+    "jobs", "engine", "retries", "task_timeout", "run_dir", "cache_dir",
+    "no_cache", "output", "json_path", "report_out", "chart", "no_charts",
+    "metrics_out", "trace_out", "trace_sample",
+})
 
 
 def _write_run_manifest(args: argparse.Namespace,
                         settings: ExperimentSettings,
                         status: str,
-                        journal: Optional[RunJournal]) -> None:
+                        journal: Optional[RunJournal],
+                        jobs: int) -> None:
     """Persist the run manifest into ``--run-dir`` (best effort)."""
     from repro.obs.manifest import build_manifest, write_manifest
 
@@ -447,7 +387,9 @@ def _write_run_manifest(args: argparse.Namespace,
         spans_snapshot=telemetry.get_spans().snapshot(),
         metrics_snapshot=telemetry.get_registry().snapshot(),
         journal_completed=len(journal) if journal is not None else None,
-        jobs=args.jobs,
+        jobs=jobs,
+        selection={name: value for name, value in vars(args).items()
+                   if name not in _EXECUTION_ONLY_ARGS},
     )
     try:
         path = write_manifest(args.run_dir, manifest)
@@ -602,9 +544,9 @@ def _multicore_command(args: argparse.Namespace,
 
 def _run_command(args: argparse.Namespace,
                  settings: ExperimentSettings,
+                 jobs: int,
                  journal: Optional[RunJournal] = None) -> int:
     """Execute the report/run/all/search commands (telemetry enabled)."""
-    jobs = _resolve_jobs(args)
     policy = _build_policy(args)
     if args.command == "search":
         return _search_command(args, settings, jobs, policy, journal)
@@ -749,7 +691,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             return EXIT_BAD_PATH
         except ValueError:
             print(f"repro-mnm: error: {args.path} is not a telemetry "
-                  "artifact (expected a metrics/profile JSON or a "
+                  "artifact (expected a metrics JSON or a "
                   "decision-trace JSONL)", file=sys.stderr)
             return EXIT_BAD_VALUE
         return 0
@@ -764,36 +706,29 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     settings = _settings_from_args(args)
     _check_output_paths(args)
+    jobs = _resolve_jobs(args)
     journal: Optional[RunJournal] = None
     cache_dir = args.cache_dir or None
-    journal_dir = args.resume or args.run_dir
-    if args.resume and args.run_dir:
-        raise _fail(EXIT_BAD_VALUE,
-                    "--resume and --run-dir conflict: a run directory "
-                    "already journals and resumes (re-run with the same "
-                    "--run-dir to continue)")
-    if journal_dir:
-        flag = "--resume" if args.resume else "--run-dir"
+    if args.run_dir:
         if args.cache_dir:
             raise _fail(EXIT_BAD_VALUE,
-                        f"{flag} and --cache-dir conflict: a run "
+                        "--run-dir and --cache-dir conflict: a run "
                         "directory owns its pass cache in <dir>/passes")
         if args.no_cache:
             raise _fail(EXIT_BAD_VALUE,
-                        f"{flag} and --no-cache conflict: journaled runs "
+                        "--run-dir and --no-cache conflict: journaled runs "
                         "require the disk pass cache")
         try:
-            journal = RunJournal.open(journal_dir)
+            journal = RunJournal.open(args.run_dir)
         except OSError as exc:
             raise _fail(EXIT_BAD_PATH,
-                        f"cannot open {flag} directory {journal_dir}: "
+                        f"cannot open --run-dir directory {args.run_dir}: "
                         f"{exc.strerror or exc}")
-        cache_dir = RunJournal.passes_dir(journal_dir)
+        cache_dir = RunJournal.passes_dir(args.run_dir)
         if len(journal):
             telemetry.get_logger("cli").info(
-                f"resuming from {journal_dir}",
+                f"resuming from {args.run_dir}",
                 completed_tasks=len(journal))
-    if args.run_dir:
         # An observed run records spans and merged counters so the
         # manifest can attribute time and work to tasks/workers.
         telemetry.enable_spans()
@@ -801,25 +736,23 @@ def _dispatch(args: argparse.Namespace) -> int:
     try:
         configure_pass_cache(cache_dir=cache_dir, enabled=not args.no_cache)
     except OSError as exc:
-        flag = "--resume" if args.resume else "--cache-dir"
+        flag = "--run-dir" if args.run_dir else "--cache-dir"
         raise _fail(EXIT_BAD_PATH,
                     f"cannot create {flag} cache directory {cache_dir}: "
                     f"{exc.strerror or exc}")
     _enable_telemetry(args)
     status = "failed"
     try:
-        code = _run_command(args, settings, journal)
-        _write_telemetry_outputs(args, settings)
+        code = _run_command(args, settings, jobs, journal)
+        _write_telemetry_outputs(args)
         status = "ok"
         return code
     except KeyboardInterrupt:
         status = "interrupted"
         if args.run_dir:
             hint = f"; re-run with --run-dir {args.run_dir} to continue"
-        elif args.resume:
-            hint = f"; re-run with --resume {args.resume} to continue"
         else:
-            hint = "; use --resume <dir> to make runs restartable"
+            hint = "; use --run-dir <dir> to make runs restartable"
         print(f"repro-mnm: interrupted{hint}", file=sys.stderr)
         return EXIT_INTERRUPTED
     except TaskExecutionError as exc:
@@ -829,7 +762,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.run_dir:
             # Written even for interrupted/failed runs: open spans show
             # exactly where the run stopped.
-            _write_run_manifest(args, settings, status, journal)
+            _write_run_manifest(args, settings, status, journal, jobs)
         if journal is not None:
             journal.close()
         telemetry.reset()

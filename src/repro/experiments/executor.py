@@ -18,8 +18,8 @@ Determinism contract: the simulations are pure functions of their task
 spec, workers neither share state nor depend on scheduling, and both
 backends consume results in a fixed (submission) order — so the same
 settings produce a bit-identical report for any ``--jobs`` value.
-(Wall-clock profiler *timings* naturally vary between runs; the
-profiled unit counts do not.)
+(Wall-clock span *timings* naturally vary between runs; the simulated
+counts do not.)
 
 Failure handling (see :mod:`repro.experiments.resilience` for policy):
 a task raising a *retryable* error is retried with deterministic
@@ -28,8 +28,8 @@ in-process, by pool rebuilds on the pool backend; *fatal* errors abort
 the run wrapped in a :class:`~repro.experiments.resilience.
 TaskExecutionError` that names the task.  With a run journal
 (:mod:`repro.experiments.checkpoint`), every completed task is durably
-recorded the moment it finishes, so an interrupted run resumed with
-``--resume`` recomputes only unfinished work.
+recorded the moment it finishes, so an interrupted run re-run with the
+same ``--run-dir`` recomputes only unfinished work.
 
 The engine's own health is observable through ``executor.*`` counters
 (``executor.tasks.completed`` / ``.retried`` / ``.timeout`` /
@@ -91,7 +91,7 @@ def execute_tasks(
 
     Tasks are deduplicated by cache key (experiments share passes —
     Figures 2 and 3, or the Figure 15/16/Table 2 baselines); tasks
-    already cached — including those restored from a ``--resume`` run
+    already cached — including those restored from a ``--run-dir`` run
     directory's disk cache — are skipped, so the backend only sees
     genuinely new work.  ``policy`` controls retries/timeouts/
     degradation (default: 3 attempts, no timeout); ``journal`` makes

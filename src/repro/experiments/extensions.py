@@ -10,7 +10,11 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.analysis.sweep import pareto_frontier, sweep_designs
-from repro.cache.presets import hierarchy_preset, paper_hierarchy_5level
+from repro.cache.presets import (
+    DEPTH_PRESETS,
+    hierarchy_preset,
+    paper_hierarchy_5level,
+)
 from repro.core.presets import (
     figure10_designs,
     figure11_designs,
@@ -88,12 +92,11 @@ def run_depth_sensitivity(
     hybrid and for the perfect bound, per workload.
     """
     settings = settings or ExperimentSettings()
-    presets = ("2level", "3level", "5level", "7level")
     designs = (hmnm_design(2), perfect_design())
     rows: List[List[object]] = []
     for workload in settings.workload_list:
         row: List[object] = [workload]
-        for preset in presets:
+        for preset in DEPTH_PRESETS:
             result = reference_pass(
                 workload, hierarchy_preset(preset), designs, settings
             )
@@ -102,7 +105,7 @@ def run_depth_sensitivity(
         rows.append(row)
     rows.append(mean_row("Arith. Mean", rows))
     headers = ["app"]
-    for preset in presets:
+    for preset in DEPTH_PRESETS:
         headers.append(f"{preset} H2")
         headers.append(f"{preset} perf")
     return ExperimentResult(

@@ -12,7 +12,11 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.cache.presets import hierarchy_preset, paper_hierarchy_5level
+from repro.cache.presets import (
+    DEPTH_PRESETS,
+    hierarchy_preset,
+    paper_hierarchy_5level,
+)
 from repro.core.base import Placement
 from repro.core.machine import MNMDesign
 from repro.core.presets import (
@@ -30,9 +34,6 @@ from repro.experiments.base import (
     mean_row,
     reference_pass,
 )
-
-#: Hierarchy depths compared by Figures 2 and 3.
-DEPTH_PRESETS = ("2level", "3level", "5level", "7level")
 
 
 def run_figure2(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:

@@ -25,7 +25,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.cache.presets import hierarchy_preset, paper_hierarchy_5level
+from repro.cache.presets import (
+    DEPTH_PRESETS,
+    hierarchy_preset,
+    paper_hierarchy_5level,
+)
 from repro.core.base import Placement
 from repro.core.machine import MNMDesign
 from repro.core.presets import (
@@ -57,11 +61,6 @@ from repro.multicore.config import MulticoreConfig
 #: hex chars (48 bits) keep manifests readable while making a collision
 #: within one run's few hundred tasks vanishingly unlikely.
 TASK_ID_CHARS = 12
-
-#: Hierarchy depths swept by Figures 2/3 and the depth extension
-#: (mirrors ``repro.experiments.figures.DEPTH_PRESETS``; duplicated here
-#: because figures.py imports the registry which imports this module).
-DEPTH_PRESETS: Tuple[str, ...] = ("2level", "3level", "5level", "7level")
 
 
 def _build_design(name: str, placement: str) -> MNMDesign:

@@ -154,17 +154,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    When profiling is enabled (``repro-mnm ... --profile``), the run is
-    timed into an ``experiment.<id>`` phase — the per-experiment
-    wall-clock that ``BENCH_telemetry.json`` reports.  A live span
-    recorder (``--run-dir``) additionally gets an ``experiment.<id>``
+    A live span recorder (``--run-dir``) gets an ``experiment.<id>``
     span, so the run manifest's timeline attributes wall-clock and
     counter movement to the experiment that caused it.
     """
-    from repro.telemetry import get_profiler, get_spans
+    from repro.telemetry import get_spans
 
     entry = get_experiment(experiment_id)
     with get_spans().span(f"experiment.{experiment_id}",
                           experiment=experiment_id):
-        with get_profiler().phase(f"experiment.{experiment_id}"):
-            return entry.runner(settings)
+        return entry.runner(settings)

@@ -62,7 +62,6 @@ it exactly, which CI pins by byte-comparing full reports between
 
 from __future__ import annotations
 
-import time
 from array import array
 from itertools import islice
 from operator import itemgetter
@@ -106,7 +105,7 @@ from repro.power.mnm_power import (
     machine_query_energy_nj,
     machine_update_energy_nj,
 )
-from repro.telemetry import get_profiler, get_registry
+from repro.telemetry import get_registry
 
 #: Access kinds by the integer code the recording stores.
 KINDS: Tuple[AccessKind, ...] = (AccessKind.INSTRUCTION, AccessKind.LOAD,
@@ -1055,8 +1054,6 @@ def run_reference_pass_fast(
     )
 
     registry = get_registry()
-    profiler = get_profiler()
-    pass_started = time.perf_counter() if profiler.enabled else 0.0
 
     addresses, kinds = reference_columns(references)
     recording = record(addresses, kinds, hierarchy_config, warmup=warmup)
@@ -1135,9 +1132,6 @@ def run_reference_pass_fast(
     }
     if registry.enabled:
         recording.hierarchy.export_stats(registry)
-    if profiler.enabled:
-        profiler.add("reference_pass", time.perf_counter() - pass_started,
-                     units=n, unit_name="references")
     return ReferencePassResult(
         workload=workload_name,
         hierarchy_name=hierarchy_config.name,
@@ -1173,9 +1167,6 @@ def run_multicore_pass_fast(
     """
     # Imported here: simulate imports this module lazily on dispatch.
     from repro.simulate import MulticoreDesignResult, MulticorePassResult
-
-    profiler = get_profiler()
-    pass_started = time.perf_counter() if profiler.enabled else 0.0
 
     recording = record_multicore(streams, hierarchy_config, mc, warmup)
     n = recording.count
@@ -1221,9 +1212,6 @@ def run_multicore_pass_fast(
     registry = get_registry()
     if registry.enabled:
         hierarchy.export_stats(registry)
-    if profiler.enabled:
-        profiler.add("multicore_pass", time.perf_counter() - pass_started,
-                     units=n, unit_name="references")
     return MulticorePassResult(
         workloads=tuple(workload_names),
         hierarchy_name=hierarchy_config.name,

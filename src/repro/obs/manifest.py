@@ -22,7 +22,7 @@ import json
 import os
 import platform
 import sys
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.experiments.atomic import replace_atomic
 from repro.experiments.base import ExperimentSettings
@@ -57,17 +57,22 @@ def settings_dict(settings: ExperimentSettings) -> Dict[str, Any]:
 
 
 def config_fingerprint(command: str, settings: ExperimentSettings,
-                       designs: Sequence[str]) -> str:
-    """sha256 over the canonical (command, settings, designs) document.
+                       designs: Sequence[str],
+                       selection: Optional[Mapping[str, Any]] = None) -> str:
+    """sha256 over the canonical (command, settings, designs, selection).
 
-    Two runs with the same fingerprint simulated the same thing — their
-    manifests are directly comparable (``obs diff`` warns otherwise).
+    ``selection`` holds the command's parsed arguments that choose what
+    the run simulates (its experiment ids, ``--skip-heavy``, the search
+    or contention axes).  Two runs with the same fingerprint simulated
+    the same thing — their manifests are directly comparable
+    (``obs diff`` warns otherwise).
     """
     canonical = json.dumps(
         {
             "command": command,
             "settings": settings_dict(settings),
             "designs": sorted(designs),
+            "selection": dict(selection or {}),
         },
         sort_keys=True, separators=(",", ":"),
     )
@@ -93,13 +98,16 @@ def build_manifest(
     designs: Optional[Sequence[str]] = None,
     journal_completed: Optional[int] = None,
     jobs: Optional[int] = None,
+    selection: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the manifest document for one finished (or aborted) run.
 
     ``status`` is ``"ok"``, ``"interrupted"`` or ``"failed"`` — an
     interrupted run still writes its manifest, with open spans showing
     exactly where it stopped.  ``designs`` defaults to the paper line-up
-    (what ``report``/``run``/``all`` simulate).
+    (what ``report``/``run``/``all`` simulate).  ``jobs`` is the worker
+    count the run resolved and used; ``selection`` enters only the
+    fingerprint (see :func:`config_fingerprint`).
     """
     if designs is None:
         from repro.core.presets import all_paper_design_names
@@ -110,7 +118,8 @@ def build_manifest(
         "schema": MANIFEST_SCHEMA,
         "command": command,
         "status": status,
-        "fingerprint": config_fingerprint(command, settings, designs),
+        "fingerprint": config_fingerprint(command, settings, designs,
+                                          selection),
         "settings": settings_dict(settings),
         "designs": designs,
         "jobs": jobs,

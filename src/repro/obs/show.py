@@ -1,10 +1,14 @@
 """``obs show``: render a run manifest as a terminal timeline.
 
-Three sections:
+Four sections:
 
 * **timeline** — the span tree, indented by depth, with durations and a
   proportional bar (worker-local spans are marked, since their clocks
   are not alignable to the parent's);
+* **work** — per task kind, the executed tasks, their summed span
+  seconds (worker spans included) and, where a counter measures the
+  kind's work, its units and units per second from the spans' counter
+  deltas;
 * **slowest tasks** — the top-N task-ledger entries by elapsed time,
   the first place to look for a straggler;
 * **stragglers & retries** — every task that needed more than one
@@ -18,6 +22,15 @@ from typing import Any, Dict, List, Optional
 
 #: Width of the proportional duration bar in the timeline.
 BAR_WIDTH = 24
+
+#: The task kinds of the work section, each with the counter that
+#: measures its work (None: no counter does; adding one would change the
+#: ``--metrics-out`` bytes the engine-equivalence checks compare).
+WORK_COUNTERS: Dict[str, Optional[str]] = {
+    "task.reference_pass": "pass.references",
+    "task.core_run": "core.instructions",
+    "task.multicore_pass": None,
+}
 
 
 def _duration(span: Dict[str, Any]) -> Optional[float]:
@@ -76,6 +89,43 @@ def render_timeline(spans: List[dict], bar_width: int = BAR_WIDTH
     return lines
 
 
+def work_by_kind(spans: List[dict]) -> Dict[str, Dict[str, float]]:
+    """Tasks, summed seconds and counted units per task kind.
+
+    Counts every closed task span, worker spans included; spans of
+    failed attempts (an ``error`` attr) and spans still open when the
+    run stopped are left out.
+    """
+    work = {kind: {"tasks": 0, "seconds": 0.0, "units": 0}
+            for kind in WORK_COUNTERS}
+    for span in spans:
+        entry = work.get(span["name"])
+        duration = _duration(span)
+        if (entry is None or duration is None
+                or "error" in span.get("attrs", {})):
+            continue
+        counter = WORK_COUNTERS[span["name"]]
+        entry["tasks"] += 1
+        entry["seconds"] += duration
+        if counter is not None:
+            entry["units"] += span.get("counters", {}).get(counter, 0)
+    return work
+
+
+def render_work(spans: List[dict]) -> List[str]:
+    """One ``kind tasks seconds [units unit/s]`` line per task kind."""
+    lines = []
+    for kind, entry in work_by_kind(spans).items():
+        line = (f"  {kind:<20} {entry['tasks']:5d} tasks "
+                f"{entry['seconds']:9.3f}s")
+        counter = WORK_COUNTERS[kind]
+        if counter is not None and entry["seconds"] > 0:
+            line += (f" {entry['units']:12d} {counter.split('.')[1]} "
+                     f"{entry['units'] / entry['seconds']:10.0f}/s")
+        lines.append(line)
+    return lines
+
+
 def slowest_tasks(tasks: List[dict], top: int = 10) -> List[dict]:
     """The ``top`` ledger entries by elapsed time (executed tasks only)."""
     timed = [task for task in tasks if task.get("elapsed_s") is not None]
@@ -101,6 +151,9 @@ def render_manifest(manifest: Dict[str, Any], top: int = 10) -> str:
         "timeline:",
     ]
     lines.extend(render_timeline(manifest.get("spans", [])))
+    lines.append("")
+    lines.append("work (executed task spans, worker spans included):")
+    lines.extend(render_work(manifest.get("spans", [])))
 
     tasks = manifest.get("tasks", [])
     executed = [task for task in tasks if task.get("worker") != "resumed"]

@@ -11,9 +11,9 @@ riding every contract the executor already pins:
   re-proposed by a later round (or a re-run against a warm ``--cache-dir``)
   costs a lookup, not a simulation;
 * **checkpoint/resume** — with a run journal every completed pass is
-  durable the moment it finishes; an interrupted search resumed with
-  ``--resume`` replays its (deterministic) decision sequence against the
-  journaled results and recomputes only unfinished passes;
+  durable the moment it finishes; an interrupted search re-run with the
+  same ``--run-dir`` replays its (deterministic) decision sequence
+  against the journaled results and recomputes only unfinished passes;
 * **determinism** — samplers are pure functions of ``(space, seed,
   scores)`` and results merge in plan order, so the ranked report is
   byte-identical for any ``--jobs`` value.
@@ -107,7 +107,7 @@ class SearchReport:
              f"infeasible {self.infeasible}"),
             # computed/cache-hit counts are deliberately NOT rendered:
             # they vary between a cold run and a resumed one, and the
-            # report is byte-identical across --jobs and --resume.  They
+            # report is byte-identical across --jobs and resumes.  They
             # live in to_dict() and the search.* telemetry counters.
             f"executor tasks: {self.tasks_planned} planned",
             "",

@@ -12,7 +12,8 @@ scores: randomness comes only from a private :class:`random.Random`
 seeded at construction, ranking ties break on ``(score, name)``, and no
 sampler reads the wall clock — so the same invocation always proposes the
 same candidates in the same order, which is the contract that makes
-search reports byte-stable across ``--jobs`` values and ``--resume``.
+search reports byte-stable across ``--jobs`` values and resumed
+``--run-dir`` runs.
 
 Samplers:
 

@@ -15,7 +15,6 @@ Two entry points cover everything the experiments need:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -44,7 +43,6 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     access_record,
-    get_profiler,
     get_registry,
     get_tracer,
 )
@@ -433,8 +431,6 @@ def run_core_trace(
         )
     if core_config is None:
         core_config = paper_core(8)
-    profiler = get_profiler()
-    started = time.perf_counter() if profiler.enabled else 0.0
     if _use_kernel(engine):
         memory, replayed = _kernel_memory(trace, hierarchy_config, design,
                                           warmup)
@@ -457,9 +453,6 @@ def run_core_trace(
         registry.counter("core.cycles").inc(result.cycles)
         memory.export_telemetry()
         memory.hierarchy.export_stats(registry)
-    if profiler.enabled:
-        profiler.add("core_trace", time.perf_counter() - started,
-                     units=result.instructions, unit_name="instructions")
     return WorkloadRun(
         workload=trace.name,
         design_name=design.name if design is not None else "NONE",
@@ -605,8 +598,6 @@ def run_reference_pass(
         )
     registry = get_registry()
     tracer = get_tracer()
-    profiler = get_profiler()
-    pass_started = time.perf_counter() if profiler.enabled else 0.0
 
     hierarchy = CacheHierarchy(hierarchy_config)
     timing = AccessTimingModel(hierarchy_config)
@@ -725,9 +716,6 @@ def run_reference_pass(
         for recorder in metrics:
             recorder.flush()
         hierarchy.export_stats(registry)
-    if profiler.enabled:
-        profiler.add("reference_pass", time.perf_counter() - pass_started,
-                     units=count, unit_name="references")
     return ReferencePassResult(
         workload=workload_name,
         hierarchy_name=hierarchy_config.name,
@@ -834,9 +822,6 @@ def run_multicore_pass(
             workload_names=workload_names, warmup=warmup,
         )
 
-    profiler = get_profiler()
-    pass_started = time.perf_counter() if profiler.enabled else 0.0
-
     hierarchy = MulticoreHierarchy(hierarchy_config, mc)
     entries: List[Tuple[MNMDesign, MulticoreMNM, _Meter]] = [
         (
@@ -882,9 +867,6 @@ def run_multicore_pass(
     registry = get_registry()
     if registry.enabled:
         hierarchy.export_stats(registry)
-    if profiler.enabled:
-        profiler.add("multicore_pass", time.perf_counter() - pass_started,
-                     units=count, unit_name="references")
 
     return MulticorePassResult(
         workloads=tuple(workload_names),

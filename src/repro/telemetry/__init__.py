@@ -1,4 +1,4 @@
-"""Telemetry subsystem: metrics, decision tracing, profiling, logging.
+"""Telemetry subsystem: metrics, decision tracing, spans, logging.
 
 The MNM's value proposition is visibility into decisions — which
 accesses were proven misses, which levels were bypassed, what that
@@ -9,8 +9,10 @@ decisions inspectable at three granularities:
   histograms**, snapshotable to JSON (``--metrics-out``);
 * :mod:`~repro.telemetry.tracer` — a **sampled JSONL stream** of
   per-access MNM decision records (``--trace-out``);
-* :mod:`~repro.telemetry.profiling` — **phase timers and throughput
-  meters** around the simulation entry points (``--profile``);
+* :mod:`~repro.telemetry.spans` — **structured spans** with counter
+  deltas around experiments and executor tasks, persisted in a
+  ``--run-dir`` manifest (``repro-mnm obs show`` reads time and work
+  back per task kind);
 * :mod:`~repro.telemetry.logger` — the harness' structured progress
   logger.
 
@@ -24,7 +26,6 @@ functions and restores the defaults with :func:`reset`::
 
     registry = telemetry.enable_metrics()
     tracer = telemetry.enable_tracing("decisions.jsonl", sample_rate=0.1)
-    profiler = telemetry.enable_profiling()
     try:
         ...  # run simulations; they pick the singletons up automatically
         registry.write_json("metrics.json")
@@ -43,12 +44,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.telemetry.logger import TelemetryLogger, get_logger
-from repro.telemetry.profiling import (
-    NULL_PROFILER,
-    NullProfiler,
-    PhaseStats,
-    Profiler,
-)
 from repro.telemetry.registry import (
     DEFAULT_LATENCY_BUCKETS,
     NULL_REGISTRY,
@@ -83,29 +78,23 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullProfiler",
     "NullRegistry",
     "NullSpanRecorder",
     "NullTracer",
-    "PhaseStats",
-    "Profiler",
     "SpanRecorder",
     "TelemetryLogger",
     "access_record",
     "aggregate_trace",
     "disable",
     "enable_metrics",
-    "enable_profiling",
     "enable_spans",
     "enable_tracing",
     "format_snapshot",
     "get_logger",
-    "get_profiler",
     "get_registry",
     "get_spans",
     "get_tracer",
     "reset",
-    "set_profiler",
     "set_registry",
     "set_spans",
     "set_tracer",
@@ -115,7 +104,6 @@ __all__ = [
 
 _registry: MetricsRegistry = NULL_REGISTRY
 _tracer: Union[DecisionTracer, NullTracer] = NULL_TRACER
-_profiler: Profiler = NULL_PROFILER
 _spans: SpanRecorder = NULL_SPANS
 
 
@@ -162,23 +150,6 @@ def enable_tracing(
     return tracer
 
 
-def get_profiler() -> Profiler:
-    """The process-wide profiler (a no-op singleton by default)."""
-    return _profiler
-
-
-def set_profiler(profiler: Profiler) -> Profiler:
-    """Install a profiler and return it."""
-    global _profiler
-    _profiler = profiler
-    return profiler
-
-
-def enable_profiling() -> Profiler:
-    """Install (and return) a fresh live profiler."""
-    return set_profiler(Profiler())
-
-
 def get_spans() -> SpanRecorder:
     """The process-wide span recorder (a no-op singleton by default)."""
     return _spans
@@ -204,9 +175,8 @@ def disable() -> None:
 
 def reset() -> None:
     """Restore the disabled defaults, closing any live tracer."""
-    global _registry, _tracer, _profiler, _spans
+    global _registry, _tracer, _spans
     _tracer.close()
     _registry = NULL_REGISTRY
     _tracer = NULL_TRACER
-    _profiler = NULL_PROFILER
     _spans = NULL_SPANS

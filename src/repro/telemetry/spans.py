@@ -1,9 +1,8 @@
 """Structured spans: hierarchical timing with task/worker attribution.
 
-The registry answers *how much* (aggregate counters), the profiler
-answers *how long per phase* (flat wall-clock buckets).  Spans answer
-*where did the time go, exactly* — a tree of named start/stop intervals
-measured with ``time.perf_counter``, each carrying:
+The registry answers *how much* (aggregate counters).  Spans answer
+*where did the time go, and on what work* — a tree of named start/stop
+intervals measured with ``time.perf_counter``, each carrying:
 
 * **attribution attrs** — ``task``/``attempt``/``worker`` for executor
   tasks, ``experiment`` for registry dispatches, ``round``/``fidelity``

@@ -145,7 +145,7 @@ def summarize_path(path: str) -> str:
     Detection is structural, not extension-based: a file whose first
     line parses as an object with a ``"t"`` field is a trace; a file
     that parses whole as an object with a ``"counters"`` field is a
-    snapshot.
+    snapshot.  Anything else raises ``ValueError``.
     """
     with open(path) as handle:
         first_line = handle.readline()
@@ -157,9 +157,6 @@ def summarize_path(path: str) -> str:
         return format_trace_summary(path)
     with open(path) as handle:
         document = json.load(handle)
-    if not isinstance(document, dict):
+    if not isinstance(document, dict) or "counters" not in document:
         raise ValueError(f"{path}: not a telemetry artifact")
-    if "counters" in document:
-        return format_snapshot(document)
-    # BENCH_telemetry.json and other plain JSON payloads: pretty JSON.
-    return json.dumps(document, indent=2, sort_keys=True)
+    return format_snapshot(document)

@@ -40,7 +40,7 @@ Sites and kinds:
                    and garbles the envelope bytes actually written
 ``journal-write``  in the run journal's appender: ``torn`` appends a
                    truncated, newline-less entry (a crash mid-append);
-                   ``--resume`` must skip it, count it and recompute
+                   a resumed run must skip it, count it and recompute
 =================  ==========================================================
 """
 

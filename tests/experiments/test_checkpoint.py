@@ -1,4 +1,4 @@
-"""Tests for the run journal and the ``--resume`` contract.
+"""Tests for the run journal and the resume contract of ``--run-dir``.
 
 The property that matters: *at every instant* the run directory is a
 valid resume point.  Entries become durable the moment a task finishes

@@ -77,16 +77,25 @@ class TestExitCodes:
         self._expect(["run", "fig10", *SMALL, "--jobs", "-2"],
                      EXIT_BAD_VALUE, "--jobs", capsys)
 
-    def test_resume_conflicts_with_cache_dir(self, tmp_path, capsys):
+    def test_run_dir_conflicts_with_cache_dir(self, tmp_path, capsys):
         self._expect(["run", "fig10", *SMALL,
-                      "--resume", str(tmp_path / "run"),
+                      "--run-dir", str(tmp_path / "run"),
                       "--cache-dir", str(tmp_path / "cache")],
-                     EXIT_BAD_VALUE, "--resume and --cache-dir", capsys)
+                     EXIT_BAD_VALUE, "--run-dir and --cache-dir", capsys)
 
-    def test_resume_conflicts_with_no_cache(self, tmp_path, capsys):
+    def test_run_dir_conflicts_with_no_cache(self, tmp_path, capsys):
         self._expect(["run", "fig10", *SMALL,
-                      "--resume", str(tmp_path / "run"), "--no-cache"],
-                     EXIT_BAD_VALUE, "--resume and --no-cache", capsys)
+                      "--run-dir", str(tmp_path / "run"), "--no-cache"],
+                     EXIT_BAD_VALUE, "--run-dir and --no-cache", capsys)
+
+    @pytest.mark.parametrize("removed", [["profile"], ["resume", "DIR"]],
+                             ids=["profile", "resume"])
+    def test_removed_flag_is_a_usage_error(self, removed, tmp_path, capsys):
+        """Only ``--run-dir`` journals, resumes and times a run."""
+        flag, *value = removed
+        self._expect(["run", "fig10", *SMALL, f"--{flag}",
+                      *(str(tmp_path / name) for name in value)],
+                     2, f"unrecognized arguments: --{flag}", capsys)
 
     @pytest.mark.parametrize("argv, fragment", [
         (["--instructions", "0"], "at least 1000 instructions"),
@@ -114,7 +123,7 @@ class TestResume:
         run_dir = tmp_path / "run"
         metrics = tmp_path / "metrics.json"
         assert main(["run", "fig10", *SMALL, "--jobs", "1",
-                     "--resume", str(run_dir)]) == 0
+                     "--run-dir", str(run_dir)]) == 0
         journal = run_dir / "journal.jsonl"
         assert journal.exists()
         entries = journal.read_text().splitlines()
@@ -124,7 +133,7 @@ class TestResume:
 
         capsys.readouterr()
         assert main(["run", "fig10", *SMALL, "--jobs", "1",
-                     "--resume", str(run_dir),
+                     "--run-dir", str(run_dir),
                      "--metrics-out", str(metrics)]) == 0
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["executor.tasks.resumed"] == len(entries) - 1

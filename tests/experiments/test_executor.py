@@ -16,6 +16,11 @@ from repro.experiments.executor import (
     prefetch_experiments,
 )
 from repro.experiments.passcache import configure_pass_cache, get_pass_cache
+from repro.experiments.registry import (
+    experiment_ids,
+    get_experiment,
+    run_experiment,
+)
 from repro.experiments.report import generate_report
 
 TINY = ExperimentSettings(num_instructions=4000, warmup_fraction=0.25,
@@ -154,7 +159,23 @@ def test_parallel_telemetry_merge_matches_serial():
             == len(unique))
 
 
-def test_parallel_profiling_merge_counts_all_work():
-    profiler = telemetry.enable_profiling()
-    prefetch_experiments(["fig10"], TINY, jobs=2)
-    assert "reference_pass" in profiler.snapshot()
+
+PLANNED = [experiment_id for experiment_id in experiment_ids()
+           if get_experiment(experiment_id).planner is not None]
+
+
+@pytest.mark.parametrize("experiment_id", PLANNED)
+def test_planner_covers_every_pass_its_runner_needs(experiment_id):
+    """After its plan is prefetched, an experiment computes nothing inline.
+
+    A runner consuming a pass its planner did not plan would store (and
+    miss) it in the cache here; on the pool that pass would run serially
+    in the parent, outside any task span.
+    """
+    settings = ExperimentSettings(num_instructions=1500,
+                                  workloads=("gcc", "twolf"))
+    prefetch_experiments([experiment_id], settings, jobs=1)
+    stats = get_pass_cache().stats
+    before = (stats.stores, stats.misses)
+    run_experiment(experiment_id, settings)
+    assert (stats.stores, stats.misses) == before

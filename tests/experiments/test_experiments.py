@@ -13,8 +13,7 @@ from repro.experiments.registry import (
     get_experiment,
     run_experiment,
 )
-from repro.experiments.figures import DEPTH_PRESETS
-from repro.cache.presets import paper_hierarchy_5level
+from repro.cache.presets import DEPTH_PRESETS, paper_hierarchy_5level
 from repro.core.presets import tmnm_design
 
 TINY = ExperimentSettings(num_instructions=4000, warmup_fraction=0.25,

@@ -13,6 +13,7 @@ from repro.experiments.report import (
     render_markdown_report,
 )
 from repro.obs.manifest import load_manifest
+from repro.obs.show import work_by_kind
 
 TINY = ExperimentSettings(num_instructions=4000, warmup_fraction=0.25,
                           workloads=("twolf",))
@@ -102,5 +103,13 @@ class TestReportCLI:
         # Every task ran on the process pool: none resumed, none serial.
         assert {task["worker"] for task in manifest["tasks"]} == {"pool"}
         assert manifest["metrics"]["counters"]["pass.references"] == 72_100
-        assert main(["obs", "show", str(run_dir)]) == 0
         capsys.readouterr()
+        assert main(["obs", "show", str(run_dir)]) == 0
+        assert " 26 tasks " in capsys.readouterr().out.split("work (")[1]
+        # The pool workers' task spans carry every planned reference;
+        # pareto has no planner, so its passes run inside its own span.
+        work = work_by_kind(manifest["spans"])["task.reference_pass"]
+        [pareto] = [span for span in manifest["spans"]
+                    if span["name"] == "experiment.pareto"]
+        assert (work["tasks"], work["units"]) == (26, 66_950)
+        assert pareto["counters"]["pass.references"] == 72_100 - 66_950

@@ -100,7 +100,7 @@ def test_engines_identical_without_warmup():
 def test_engines_emit_identical_metrics():
     """``--metrics-out`` parity: same counters, same totals, both engines.
 
-    Only wall-clock profiler timings are outside the byte-identity
+    Only wall-clock span timings are outside the byte-identity
     contract; the counter registry must match exactly.
     """
     hierarchy = paper_hierarchy_2level()
@@ -222,24 +222,20 @@ def test_core_trace_engines_identical_on_four_way_core_and_two_levels():
         assert _core_snapshot(fast) == _core_snapshot(interp)
 
 
-def test_core_trace_engines_emit_identical_metrics_and_profile():
+def test_core_trace_engines_emit_identical_metrics():
     """memory.*, mnm.* (warm-up queries included), core.* and cache.*
-    match, as do the profiler's phases apart from wall-clock seconds."""
+    match."""
     snapshots = {}
     for engine in ("interp", "fast"):
         try:
             telemetry.enable_metrics()
-            profiler = telemetry.enable_profiling()
             for design_name in (None, "HMNM4", "PERFECT"):
                 _core_run("gcc", engine, design_name)
-            profile = {name: {key: value for key, value in phase.items()
-                              if key not in ("seconds", "per_sec")}
-                       for name, phase in profiler.snapshot().items()}
-            snapshots[engine] = (telemetry.get_registry().snapshot(), profile)
+            snapshots[engine] = telemetry.get_registry().snapshot()
         finally:
             telemetry.reset()
     assert snapshots["fast"] == snapshots["interp"]
-    counters = snapshots["fast"][0]["counters"]
+    counters = snapshots["fast"]["counters"]
     assert counters["mnm.queries"] > counters["memory.accesses"] > 0
 
 

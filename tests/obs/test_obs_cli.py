@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.cli import EXIT_BAD_PATH, EXIT_BAD_VALUE, main
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import load_manifest
+from repro.obs.show import work_by_kind
 
 SMALL = ["--instructions", "4000", "--workloads", "twolf",
          "--warmup-fraction", "0.25"]
@@ -62,8 +63,7 @@ class TestRunDir:
                    for task in manifest["tasks"])
 
     def test_conflicting_flags_rejected(self, tmp_path, capsys):
-        for extra in (["--resume", str(tmp_path / "r")],
-                      ["--cache-dir", str(tmp_path / "c")],
+        for extra in (["--cache-dir", str(tmp_path / "c")],
                       ["--no-cache"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["run", "fig10", *SMALL,
@@ -79,6 +79,31 @@ class TestObsShow:
         assert "timeline:" in out
         assert "task.reference_pass" in out
         assert "slowest" in out
+
+    def test_work_section_counts_the_runs_references(self, run_dir, capsys):
+        manifest = load_manifest(str(run_dir))
+        work = work_by_kind(manifest["spans"])["task.reference_pass"]
+        assert work["tasks"] == len(manifest["tasks"])
+        assert (work["units"]
+                == manifest["metrics"]["counters"]["pass.references"])
+        assert main(["obs", "show", str(run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "work (executed task spans, worker spans included):" in out
+        assert f" {work['units']} references " in out
+
+    def test_work_section_counts_core_run_instructions(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "table2"
+        assert main(["run", "table2", *SMALL, "--jobs", "1",
+                     "--run-dir", str(path)]) == 0
+        manifest = load_manifest(str(path))
+        work = work_by_kind(manifest["spans"])["task.core_run"]
+        assert work["tasks"] == 1
+        assert (work["units"]
+                == manifest["metrics"]["counters"]["core.instructions"])
+        capsys.readouterr()
+        assert main(["obs", "show", str(path)]) == 0
+        assert f" {work['units']} instructions " in capsys.readouterr().out
 
     def test_show_missing_manifest_exits_3(self, tmp_path, capsys):
         assert main(["obs", "show", str(tmp_path / "none")]) == EXIT_BAD_PATH
@@ -101,6 +126,37 @@ class TestObsDiff:
         capsys.readouterr()
         assert main(["obs", "diff", str(run_dir), str(other)]) == 0
         assert "fingerprints differ" in capsys.readouterr().out
+
+
+class TestManifestFingerprint:
+    def _fingerprint(self, path, *argv):
+        assert main(["run", *argv, *SMALL, "--run-dir", str(path)]) == 0
+        return load_manifest(str(path))["fingerprint"]
+
+    def test_selected_experiments_enter_the_fingerprint(self, run_dir,
+                                                        tmp_path):
+        assert (self._fingerprint(tmp_path / "fig13", "fig13", "--jobs", "1")
+                != load_manifest(str(run_dir))["fingerprint"])
+
+    def test_execution_flags_leave_the_fingerprint(self, run_dir, tmp_path):
+        assert (self._fingerprint(tmp_path / "fig10", "fig10", "--jobs", "2",
+                                  "--engine", "interp")
+                == load_manifest(str(run_dir))["fingerprint"])
+
+
+class TestManifestJobs:
+    def test_records_the_worker_count_the_run_used(self, tmp_path,
+                                                   monkeypatch):
+        import repro.experiments.executor as executor_module
+
+        monkeypatch.setattr(executor_module, "default_jobs", lambda: 3)
+        assert main(["run", "table1", "--run-dir",
+                     str(tmp_path / "auto")]) == 0
+        assert load_manifest(str(tmp_path / "auto"))["jobs"] == 3
+        # Tracing forces one worker, whatever was asked for.
+        assert main(["run", "table1", "--run-dir", str(tmp_path / "traced"),
+                     "--trace-out", str(tmp_path / "trace.jsonl")]) == 0
+        assert load_manifest(str(tmp_path / "traced"))["jobs"] == 1
 
 
 class TestObsRegressRemoved:

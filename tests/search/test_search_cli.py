@@ -64,12 +64,12 @@ class TestSearchCommand:
             "REPRO_FAULTS",
             json.dumps({"site": "task", "kind": "interrupt", "rate": 0.5,
                         "fail_attempts": 1, "seed": 1}))
-        code = main([*args, "--resume", run_dir])
+        code = main([*args, "--run-dir", run_dir])
         assert code in (0, 130)  # interrupted (or too lucky to be hit)
 
         monkeypatch.delenv("REPRO_FAULTS")
         resumed_path = tmp_path / "resumed.txt"
-        assert main([*args, "--resume", run_dir, "--output",
+        assert main([*args, "--run-dir", run_dir, "--output",
                      str(resumed_path)]) == 0
         capsys.readouterr()
         assert resumed_path.read_bytes() == clean_path.read_bytes()

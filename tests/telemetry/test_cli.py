@@ -3,7 +3,7 @@
 import json
 
 from repro.experiments.cli import main
-from repro.telemetry import format_snapshot, summarize_path
+from repro.telemetry import format_snapshot
 
 SMALL = ["--instructions", "4000", "--workloads", "twolf",
          "--warmup-fraction", "0.25"]
@@ -33,22 +33,6 @@ class TestTraceOut:
         assert lines
         assert all(record["t"] == "access" for record in lines)
         assert "decision trace written" in capsys.readouterr().out
-
-
-class TestProfile:
-    def test_writes_bench_telemetry_json(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_telemetry.json"
-        code = main(["all", "--skip-heavy", *SMALL,
-                     "--profile", "--profile-out", str(out)])
-        assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-bench/v1"
-        assert payload["created_by"] == "profile"
-        assert "fig10" in payload["experiments"]
-        assert payload["throughput"]["references_per_sec"] > 0
-        assert payload["metrics"]["throughput.references_per_sec"] > 0
-        assert payload["settings"]["instructions"] == 4000
-        assert "profile written" in capsys.readouterr().out
 
 
 class TestTelemetrySummary:
@@ -118,6 +102,13 @@ class TestErrorPaths:
         assert main(["telemetry", "summary", str(path)]) == 4
         assert "not a telemetry artifact" in capsys.readouterr().err
 
+    def test_summary_json_without_counters_is_not_an_artifact(self, tmp_path,
+                                                              capsys):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"schema": "other/v1", "metrics": {}}))
+        assert main(["telemetry", "summary", str(path)]) == 4
+        assert "not a telemetry artifact" in capsys.readouterr().err
+
 
 class TestSummaryHelpers:
     def test_format_snapshot_sections(self):
@@ -130,12 +121,3 @@ class TestSummaryHelpers:
         assert "a.b" in text
         assert "gauges:" in text
         assert "le_8" in text
-
-    def test_summarize_path_detects_bench_payload(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({"schema": "repro-bench/v1",
-                                    "created_by": "profile",
-                                    "metrics": {},
-                                    "experiments": {"fig10": 1.0}}))
-        text = summarize_path(str(path))
-        assert "fig10" in text

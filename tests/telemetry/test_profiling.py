@@ -1,66 +1,9 @@
-"""Profiler phases/throughput and the structured harness logger."""
+"""The structured harness logger."""
 
 import io
 
-from repro import telemetry
-from repro.telemetry import NullProfiler, Profiler, TelemetryLogger
+from repro.telemetry import TelemetryLogger
 from repro.telemetry.logger import get_logger
-
-
-class TestProfiler:
-    def test_phase_context_manager_accumulates(self):
-        profiler = Profiler()
-        with profiler.phase("work"):
-            pass
-        with profiler.phase("work"):
-            pass
-        stats = profiler.stats_for("work")
-        assert stats.calls == 2
-        assert stats.seconds >= 0.0
-
-    def test_add_with_units_yields_throughput(self):
-        profiler = Profiler()
-        profiler.add("pass", 2.0, units=1000, unit_name="references")
-        profiler.add("pass", 2.0, units=1000, unit_name="references")
-        stats = profiler.stats_for("pass")
-        assert stats.seconds == 4.0
-        assert stats.units == 2000
-        assert stats.per_sec == 500.0
-        snapshot = profiler.snapshot()
-        assert snapshot["pass"]["per_sec"] == 500.0
-        assert snapshot["pass"]["unit_name"] == "references"
-
-    def test_phase_without_units_omits_throughput_keys(self):
-        profiler = Profiler()
-        profiler.add("setup", 0.5)
-        assert "per_sec" not in profiler.snapshot()["setup"]
-
-    def test_unknown_phase_is_none(self):
-        assert Profiler().stats_for("nope") is None
-
-    def test_reset(self):
-        profiler = Profiler()
-        profiler.add("x", 1.0)
-        profiler.reset()
-        assert profiler.snapshot() == {}
-
-
-class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        null = NullProfiler()
-        assert not null.enabled
-        with null.phase("anything"):
-            pass
-        null.add("anything", 1.0, units=5)
-        assert null.snapshot() == {}
-
-    def test_default_global_is_null(self):
-        assert not telemetry.get_profiler().enabled
-
-    def test_enable_profiling_installs(self):
-        profiler = telemetry.enable_profiling()
-        assert telemetry.get_profiler() is profiler
-        assert profiler.enabled
 
 
 class TestTelemetryLogger:
