@@ -52,14 +52,18 @@ def sweep_designs(
     hierarchy_config: HierarchyConfig,
     designs: Sequence[MNMDesign],
     warmup: int = 0,
+    engine: str = "fast",
 ) -> List[SweepPoint]:
-    """Evaluate designs on one shared pass; returns one point per design."""
+    """Evaluate designs on one shared pass; returns one point per design.
+
+    ``warmup`` and ``engine`` are :func:`repro.simulate.run_reference_pass`'s.
+    """
     # imported here: repro.simulate itself imports repro.analysis, so a
     # module-level import would be circular
     from repro.simulate import run_reference_pass
 
     result = run_reference_pass(
-        references, hierarchy_config, designs, warmup=warmup
+        references, hierarchy_config, designs, warmup=warmup, engine=engine
     )
     points = []
     for design in designs:

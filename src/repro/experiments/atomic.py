@@ -1,12 +1,12 @@
 """Blessed atomic filesystem write idioms (the R009 surface).
 
-Every durable artifact in the repo — pass-cache entries, run-journal
-headers, manifests — commits through one of two idioms, each of which
-guarantees a reader never observes a torn file:
+Every durable artifact in the repo — pass-cache entries and run
+manifests — commits through one of two idioms, each of which guarantees
+a reader never observes a torn file:
 
 * :func:`replace_atomic` — temp file + ``os.replace``: last-writer-wins
-  replacement.  For single-logical-writer documents (a run's manifest,
-  a journal's header) where the newest content should stick.
+  replacement.  For single-logical-writer documents (a run's manifest)
+  where the newest content should stick.
 * :func:`publish_linked` — temp file + ``os.link``: first-writer-wins
   publication.  For content-addressed stores (the disk pass cache)
   where concurrent writers carry identical payloads and the first
@@ -18,7 +18,7 @@ are spelled out: R009 (:mod:`repro.staticcheck.rules.atomicity`) flags
 raw ``open(..., "w")``-family calls inside the crash-safety-scoped
 modules, so new write sites either route through here or carry a
 written rationale.  It sits in experiments ring 0 — importable by the
-cache, the journal and every backend without dragging anything else in.
+cache, the manifest and every backend without dragging anything else in.
 
 All helpers fsync the temp file before commit by default; callers on a
 deliberate durability/throughput trade (the pass cache: entries are

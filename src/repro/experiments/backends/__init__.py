@@ -1,7 +1,8 @@
 """Pluggable execution backends for the experiment engine.
 
 :func:`repro.experiments.executor.execute_tasks` routes the
-deduplicated, journal-filtered task list to one of these:
+deduplicated task list, minus what the pass cache already holds, to
+one of these:
 
 * :class:`~repro.experiments.backends.inprocess.InProcessBackend` —
   serial, in the calling process (``--jobs 1``);

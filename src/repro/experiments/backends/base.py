@@ -8,17 +8,17 @@ never depends on which strategy runs the tasks.
 
 Every backend receives the same inputs and owes the same contract:
 
-* ``pending`` is the deduplicated, journal-filtered task list, in
-  **submission order** — the order every backend must merge results,
-  telemetry snapshots and journal entries in, so the run is
+* ``pending`` is the deduplicated task list, minus what the pass cache
+  already holds, in **submission order** — the order every backend must
+  merge results, telemetry snapshots and journal records in, so the run is
   byte-identical to a serial one regardless of substrate or scheduling;
 * each completed task's result lands in the process-wide pass cache
   (``store`` for in-process execution, ``seed`` for results computed in
-  another process) and, when a journal is given, is durably recorded the
+  another process) and, when a journal is given, is recorded in it the
   moment the backend accepts it;
 * a task failing fatally (or exhausting the policy's attempt budget)
   raises :class:`~repro.experiments.resilience.TaskExecutionError`;
-  ``KeyboardInterrupt`` propagates untouched so journaled runs stay
+  ``KeyboardInterrupt`` propagates untouched so ``--run-dir`` runs stay
   resumable;
 * backend health telemetry lives under ``executor.*`` counters, which
   — like span timings — are excluded from the byte-identity contract.

@@ -40,8 +40,8 @@ def execute_one_serial(
     serial-degradation fallback.  Failures carry the task's identity
     (experiment id, workload, hierarchy) via :class:`TaskExecutionError`,
     so one dead task out of hundreds is diagnosable from the message
-    alone.  ``KeyboardInterrupt`` passes through untouched — the journal
-    and disk cache only ever contain fully-written entries, so Ctrl-C
+    alone.  ``KeyboardInterrupt`` passes through untouched — the disk
+    pass cache only ever publishes fully-written entries, so Ctrl-C
     here is always resumable.
 
     ``--task-timeout`` limitation: in-process execution cannot kill a
@@ -100,7 +100,7 @@ def execute_one_serial(
         spans.record_task(task_id, task.describe(), attempt,
                           elapsed=elapsed, worker="serial")
         if journal is not None:
-            journal.record(key, task.describe(), elapsed=elapsed)
+            journal.record(key, elapsed=elapsed)
         return
 
 

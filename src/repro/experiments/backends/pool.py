@@ -285,8 +285,7 @@ class PoolBackend:
                         continue
                     cache.seed(key, outcome.result)
                     if journal is not None:
-                        journal.record(key, task.describe(),
-                                       elapsed=outcome.elapsed)
+                        journal.record(key, elapsed=outcome.elapsed)
                     if outcome.metrics is not None:
                         # Merged in submission order; the span ledger
                         # (below) keeps the per-task attribution the

@@ -45,11 +45,6 @@ class ExperimentSettings:
             filters and predictors without being measured.
         seed: workload generator seed.
         workloads: subset of workload names (default: the paper's ten).
-        fault_spec: fault-injection spec for chaos tests (see
-            :mod:`repro.testing.faults`); overrides the ``REPRO_FAULTS``
-            environment variable.  Deliberately **excluded** from the
-            pass-cache fingerprint — injected faults must never change
-            what a result is keyed as, only whether computing it fails.
         engine: simulation implementation for reference passes and
             full-system runs, ``"fast"`` (the numpy kernel) or
             ``"interp"`` (the oracle).  Also excluded from the pass-cache
@@ -62,8 +57,6 @@ class ExperimentSettings:
     seed: int = 0
     # repro: allow[R007] every pass key carries its workload argument explicitly
     workloads: Tuple[str, ...] = ()
-    # repro: allow[R007] faults change whether computing fails, never what a result is keyed as
-    fault_spec: str = ""
     # repro: allow[R007] engines are byte-identical by pinned contract, so passes are interchangeable
     engine: str = "fast"
 

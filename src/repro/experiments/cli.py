@@ -7,7 +7,7 @@ Examples::
     repro-mnm all --skip-heavy
     repro-mnm all --output results.txt
     repro-mnm run fig10 --metrics-out metrics.json --trace-out trace.jsonl
-    repro-mnm all --run-dir runs/full  # journaled; re-run to resume
+    repro-mnm all --run-dir runs/full  # resumable: re-run to resume
     repro-mnm report --jobs 4 --run-dir runs/nightly   # + manifest.json
     repro-mnm obs show runs/nightly    # timeline, work per task kind
     repro-mnm obs diff runs/last runs/nightly
@@ -35,14 +35,16 @@ one-line message instead of a raw traceback:
 5     unknown experiment id
 6     a simulation task failed after exhausting its retries
 7     ``repro-mnm check`` reported static-analysis findings
-130   interrupted (Ctrl-C or SIGTERM) — journaled runs resume when
-      re-run with the same ``--run-dir``
+130   interrupted (Ctrl-C or SIGTERM) — a ``--run-dir`` run resumes
+      when re-run with the same ``--run-dir``
 ====  =======================================================
 
-SIGTERM is handled exactly like Ctrl-C: the journal is flushed, a
-``--run-dir`` manifest is written with ``status: interrupted``, and the
-process exits 130 — so a scheduler (or CI) terminating a run loses at
-most the in-flight task.
+SIGTERM is handled exactly like Ctrl-C: a ``--run-dir`` manifest is
+written with ``status: interrupted`` and the process exits 130 — every
+finished task's result is already in the run directory's pass cache, so
+a scheduler (or CI) terminating a run loses at most the in-flight
+tasks.  Every flag is validated before anything is written: a refused
+run leaves no run directory, cache directory or manifest behind.
 """
 
 from __future__ import annotations
@@ -260,12 +262,12 @@ def _add_settings_args(parser: argparse.ArgumentParser) -> None:
                              "worker is presumed hung, killed and the task "
                              "retried (default: no timeout)")
     parser.add_argument("--run-dir", type=str, default="",
-                        help="journaled, observed run directory: created "
+                        help="resumable, observed run directory: created "
                              "on first use; re-running after an "
                              "interruption skips every already-completed "
                              "pass (a disk pass cache in <dir>/passes); "
                              "spans and a manifest.json are written beside "
-                             "the journal (see 'repro-mnm obs')")
+                             "it (see 'repro-mnm obs')")
 
 
 def _settings_from_args(args: argparse.Namespace) -> ExperimentSettings:
@@ -310,25 +312,26 @@ def _check_output_dir(flag: str, path: str) -> None:
 
 
 def _check_output_paths(args: argparse.Namespace) -> None:
-    """Fail before the run when a results file could not be written."""
+    """Fail before the run when an output file could not be written."""
     for flag, path in (("--output", args.output),
                        ("--json", args.json_path),
-                       ("--report-out", getattr(args, "report_out", ""))):
+                       ("--report-out", getattr(args, "report_out", "")),
+                       ("--metrics-out", args.metrics_out)):
         if path:
             _check_output_dir(flag, path)
-
-
-def _enable_telemetry(args: argparse.Namespace) -> None:
-    """Turn on the telemetry pieces the flags ask for."""
-    if args.metrics_out:
-        _check_output_dir("--metrics-out", args.metrics_out)
-        telemetry.enable_metrics()
     if args.trace_out:
         if not 0.0 < args.trace_sample <= 1.0:
             raise _fail(EXIT_BAD_VALUE,
                         "--trace-sample must be in (0, 1], "
                         f"got {args.trace_sample}")
         _check_output_dir("--trace-out", args.trace_out)
+
+
+def _enable_telemetry(args: argparse.Namespace) -> None:
+    """Turn on the telemetry pieces the flags ask for."""
+    if args.metrics_out:
+        telemetry.enable_metrics()
+    if args.trace_out:
         telemetry.enable_tracing(args.trace_out,
                                  sample_rate=args.trace_sample)
 
@@ -419,13 +422,9 @@ def _resolve_jobs(args: argparse.Namespace) -> int:
     return jobs
 
 
-def _search_command(args: argparse.Namespace,
-                    settings: ExperimentSettings,
-                    jobs: int,
-                    policy: ExecutionPolicy,
-                    journal: Optional[RunJournal]) -> int:
-    """``repro-mnm search``: budget-constrained design-space search."""
-    from repro.search import Objective, make_sampler, run_search, space_preset
+def _search_inputs(args: argparse.Namespace) -> tuple:
+    """The search's space, sampler and objective; a bad flag exits 4."""
+    from repro.search import Objective, make_sampler, space_preset
 
     if args.samples < 1:
         raise _fail(EXIT_BAD_VALUE,
@@ -433,21 +432,26 @@ def _search_command(args: argparse.Namespace,
     if args.top_k < 1:
         raise _fail(EXIT_BAD_VALUE, f"--top-k must be >= 1, got {args.top_k}")
     try:
-        space = space_preset(args.space)
-    except ValueError as exc:
-        raise _fail(EXIT_BAD_VALUE, str(exc))
-    try:
-        sampler = make_sampler(args.sampler, seed=args.seed,
-                               num_samples=args.samples)
-    except ValueError as exc:
-        raise _fail(EXIT_BAD_VALUE, str(exc))
-    try:
-        objective = Objective(metric=args.objective,
-                              budget_bits=args.budget_bits,
-                              min_coverage=args.min_coverage)
+        return (space_preset(args.space),
+                make_sampler(args.sampler, seed=args.seed,
+                             num_samples=args.samples),
+                Objective(metric=args.objective,
+                          budget_bits=args.budget_bits,
+                          min_coverage=args.min_coverage))
     except ValueError as exc:
         raise _fail(EXIT_BAD_VALUE, str(exc))
 
+
+def _search_command(args: argparse.Namespace,
+                    settings: ExperimentSettings,
+                    jobs: int,
+                    policy: ExecutionPolicy,
+                    journal: Optional[RunJournal],
+                    inputs: tuple) -> int:
+    """``repro-mnm search``: budget-constrained design-space search."""
+    from repro.search import run_search
+
+    space, sampler, objective = inputs
     report = run_search(
         space, sampler, objective,
         settings=settings,
@@ -467,17 +471,15 @@ def _search_command(args: argparse.Namespace,
     return 0
 
 
-def _multicore_command(args: argparse.Namespace,
-                       settings: ExperimentSettings,
-                       jobs: int,
-                       policy: ExecutionPolicy,
-                       journal: Optional[RunJournal]) -> int:
-    """``repro-mnm multicore``: the contention sweep with explicit axes."""
-    from repro.experiments.extensions import run_multicore_contention
+def _multicore_axes(args: argparse.Namespace) -> dict:
+    """The contention sweep's axes; a bad flag exits 4.
+
+    The keys are keyword arguments of both ``plan_multicore_contention``
+    and ``run_multicore_contention``.
+    """
     from repro.experiments.planning import (
         MULTICORE_CORE_COUNTS,
         MULTICORE_DESIGNS,
-        plan_multicore_contention,
     )
     from repro.multicore.config import L2_POLICIES, SHARINGS
 
@@ -517,21 +519,27 @@ def _multicore_command(args: argparse.Namespace,
     if args.schedule_seed < 0:
         raise _fail(EXIT_BAD_VALUE,
                     f"--schedule-seed must be >= 0, got {args.schedule_seed}")
+    return {"core_counts": core_counts, "sharings": sharings,
+            "l2_policies": policies, "schedule": args.schedule,
+            "schedule_seed": args.schedule_seed, "design_names": names}
+
+
+def _multicore_command(args: argparse.Namespace,
+                       settings: ExperimentSettings,
+                       jobs: int,
+                       policy: ExecutionPolicy,
+                       journal: Optional[RunJournal],
+                       axes: dict) -> int:
+    """``repro-mnm multicore``: the contention sweep with explicit axes."""
+    from repro.experiments.extensions import run_multicore_contention
 
     if jobs > 1 or journal is not None:
         from repro.experiments.executor import execute_tasks
+        from repro.experiments.planning import plan_multicore_contention
 
-        tasks = plan_multicore_contention(
-            settings, core_counts=core_counts, sharings=sharings,
-            l2_policies=policies, schedule=args.schedule,
-            schedule_seed=args.schedule_seed, design_names=names,
-        )
-        execute_tasks(tasks, jobs, policy=policy, journal=journal)
-    result = run_multicore_contention(
-        settings, core_counts=core_counts, sharings=sharings,
-        l2_policies=policies, schedule=args.schedule,
-        schedule_seed=args.schedule_seed, design_names=names,
-    )
+        execute_tasks(plan_multicore_contention(settings, **axes), jobs,
+                      policy=policy, journal=journal)
+    result = run_multicore_contention(settings, **axes)
     _emit(result.render(float_digits=1), args.output)
     if args.chart:
         _emit("\n" + result.render_chart(), args.output)
@@ -542,16 +550,31 @@ def _multicore_command(args: argparse.Namespace,
     return 0
 
 
+def _command_inputs(args: argparse.Namespace):
+    """The validated inputs of ``search`` and ``multicore`` (else None)."""
+    if args.command == "search":
+        return _search_inputs(args)
+    if args.command == "multicore":
+        return _multicore_axes(args)
+    return None
+
+
 def _run_command(args: argparse.Namespace,
                  settings: ExperimentSettings,
                  jobs: int,
-                 journal: Optional[RunJournal] = None) -> int:
-    """Execute the report/run/all/search commands (telemetry enabled)."""
-    policy = _build_policy(args)
+                 policy: ExecutionPolicy,
+                 journal: Optional[RunJournal],
+                 inputs) -> int:
+    """Execute the report/run/all/search/multicore commands.
+
+    Every flag is already validated; ``inputs`` is what
+    :func:`_command_inputs` returned.
+    """
     if args.command == "search":
-        return _search_command(args, settings, jobs, policy, journal)
+        return _search_command(args, settings, jobs, policy, journal, inputs)
     if args.command == "multicore":
-        return _multicore_command(args, settings, jobs, policy, journal)
+        return _multicore_command(args, settings, jobs, policy, journal,
+                                  inputs)
     if args.command == "report":
         from repro.experiments.report import generate_report
 
@@ -577,8 +600,9 @@ def _run_command(args: argparse.Namespace,
             if not (args.skip_heavy and get_experiment(experiment_id).heavy)
         ]
 
-    # A journaled run prefetches even with one job, so every planned pass
-    # is durably recorded (and skipped on resume) the moment it finishes.
+    # A --run-dir run prefetches even with one job, so every planned pass
+    # lands in its pass cache (and is skipped on resume) the moment it
+    # finishes.
     if jobs > 1 or journal is not None:
         from repro.experiments.executor import prefetch_experiments
 
@@ -704,20 +728,24 @@ def _dispatch(args: argparse.Namespace) -> int:
                         f"unknown experiment id(s): {', '.join(unknown)} "
                         f"(see 'repro-mnm list')")
 
+    # Every flag is checked before anything touches disk, so a refused
+    # run leaves no run directory, cache directory or manifest behind.
     settings = _settings_from_args(args)
     _check_output_paths(args)
     jobs = _resolve_jobs(args)
+    policy = _build_policy(args)
+    inputs = _command_inputs(args)
+    if args.run_dir and args.cache_dir:
+        raise _fail(EXIT_BAD_VALUE,
+                    "--run-dir and --cache-dir conflict: a run "
+                    "directory owns its pass cache in <dir>/passes")
+    if args.run_dir and args.no_cache:
+        raise _fail(EXIT_BAD_VALUE,
+                    "--run-dir and --no-cache conflict: a run "
+                    "directory resumes from its disk pass cache")
     journal: Optional[RunJournal] = None
     cache_dir = args.cache_dir or None
     if args.run_dir:
-        if args.cache_dir:
-            raise _fail(EXIT_BAD_VALUE,
-                        "--run-dir and --cache-dir conflict: a run "
-                        "directory owns its pass cache in <dir>/passes")
-        if args.no_cache:
-            raise _fail(EXIT_BAD_VALUE,
-                        "--run-dir and --no-cache conflict: journaled runs "
-                        "require the disk pass cache")
         try:
             journal = RunJournal.open(args.run_dir)
         except OSError as exc:
@@ -743,7 +771,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     _enable_telemetry(args)
     status = "failed"
     try:
-        code = _run_command(args, settings, jobs, journal)
+        code = _run_command(args, settings, jobs, policy, journal, inputs)
         _write_telemetry_outputs(args)
         status = "ok"
         return code
@@ -763,8 +791,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             # Written even for interrupted/failed runs: open spans show
             # exactly where the run stopped.
             _write_run_manifest(args, settings, status, journal, jobs)
-        if journal is not None:
-            journal.close()
         telemetry.reset()
         configure_pass_cache()
 

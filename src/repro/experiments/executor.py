@@ -4,8 +4,8 @@
 (workload × hierarchy × design-set) simulation strictly serially, even
 though the passes are embarrassingly parallel.  This module plans the
 independent tasks (:mod:`repro.experiments.planning`), deduplicates
-them by cache key, skips whatever the pass cache / run journal already
-holds, and hands the remainder to an
+them by cache key, skips whatever the pass cache already holds, and
+hands the remainder to an
 :class:`~repro.experiments.backends.base.ExecutorBackend`:
 
 * :class:`~repro.experiments.backends.inprocess.InProcessBackend` for
@@ -26,10 +26,12 @@ a task raising a *retryable* error is retried with deterministic
 backoff up to the policy's attempt budget — by the retry loop
 in-process, by pool rebuilds on the pool backend; *fatal* errors abort
 the run wrapped in a :class:`~repro.experiments.resilience.
-TaskExecutionError` that names the task.  With a run journal
-(:mod:`repro.experiments.checkpoint`), every completed task is durably
-recorded the moment it finishes, so an interrupted run re-run with the
-same ``--run-dir`` recomputes only unfinished work.
+TaskExecutionError` that names the task.  Under ``--run-dir`` every
+completed task's result is on disk in the run directory's pass cache
+the moment it finishes, and the run journal
+(:mod:`repro.experiments.checkpoint`) is a view of that cache, so an
+interrupted run re-run with the same ``--run-dir`` recomputes only
+unfinished work.
 
 The engine's own health is observable through ``executor.*`` counters
 (``executor.tasks.completed`` / ``.retried`` / ``.timeout`` /
@@ -94,9 +96,10 @@ def execute_tasks(
     already cached — including those restored from a ``--run-dir`` run
     directory's disk cache — are skipped, so the backend only sees
     genuinely new work.  ``policy`` controls retries/timeouts/
-    degradation (default: 3 attempts, no timeout); ``journal`` makes
-    completion durable per task.  ``jobs == 1`` runs in-process, more
-    jobs a local pool.  Returns the number of tasks computed.
+    degradation (default: 3 attempts, no timeout); ``journal`` counts
+    cached tasks it already holds as resumed and records each newly
+    completed one.  ``jobs == 1`` runs in-process, more jobs a local
+    pool.  Returns the number of tasks computed.
     """
     cache = get_pass_cache()
     if not cache.enabled:
@@ -118,13 +121,13 @@ def execute_tasks(
                 if journal.is_complete(key):
                     registry.counter("executor.tasks.resumed").inc()
                     # Attempt 0: never executed this run, replayed from
-                    # the journal + pass cache.
+                    # the run directory's pass cache.
                     spans.record_task(task_identity(task)[0],
                                       task.describe(), 0, worker="resumed")
                 else:
-                    # Present via a shared cache but not yet journaled:
+                    # Cached by this process since the journal opened:
                     # record it so the manifest stays complete.
-                    journal.record(key, task.describe())
+                    journal.record(key)
             continue
         pending.append(task)
     if not pending:
@@ -133,7 +136,7 @@ def execute_tasks(
     jobs = max(1, min(jobs, len(pending)))
     backend: ExecutorBackend = (InProcessBackend() if jobs == 1
                                 else PoolBackend(jobs=jobs))
-    fault_spec = faults.resolve_fault_spec(pending[0].settings)
+    fault_spec = faults.resolve_fault_spec()
     if fault_spec:
         faults.configure_faults(fault_spec)
     try:
@@ -154,7 +157,7 @@ def plan_experiments(
     """Collect the task specs of every plannable selected experiment.
 
     Each task is stamped with the experiment id that planned it — pure
-    identity for error messages and the journal; cache keys stay
+    identity for error messages and the task ledger; cache keys stay
     structural, so shared passes still deduplicate across experiments.
     """
     # repro: allow[R002] lazy import of the experiment table: planners live in the registry ring, and deferring the import keeps workers from loading the report stack

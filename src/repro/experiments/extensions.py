@@ -58,6 +58,7 @@ def run_pareto(settings: Optional[ExperimentSettings] = None) -> ExperimentResul
     points = sweep_designs(
         references, hierarchy, designs,
         warmup=int(len(references) * settings.warmup_fraction),
+        engine=settings.engine,
     )
     frontier_names = {p.design_name for p in pareto_frontier(points)}
 

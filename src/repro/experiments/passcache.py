@@ -41,7 +41,8 @@ import enum
 import hashlib
 import os
 import pickle
-from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
+import re
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro import telemetry
 from repro.experiments.atomic import publish_linked
@@ -202,12 +203,28 @@ def multicore_key(
 
 
 def key_digest(key: str) -> str:
-    """The SHA-256 hex digest a cache key files under.
-
-    Shared with the run journal (:mod:`repro.experiments.checkpoint`), so
-    a journal entry and its disk-cache file cross-reference by name.
-    """
+    """The SHA-256 hex digest a cache key files under."""
     return hashlib.sha256(key.encode("utf-8")).hexdigest()
+
+
+#: A published disk entry's file name.  Temp files (``<entry>.tmp.*``)
+#: and quarantined entries (``<entry>.quarantine.*``) do not match.
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.pkl")
+
+
+def published_digests(cache_dir: str) -> List[str]:
+    """The key digests of the entries published in ``cache_dir``.
+
+    The run journal (:mod:`repro.experiments.checkpoint`) reads a run
+    directory's completed tasks off these names.  A missing directory
+    holds none.
+    """
+    try:
+        names = os.listdir(cache_dir)
+    except FileNotFoundError:
+        return []
+    return [name[:-len(".pkl")] for name in names
+            if _ENTRY_NAME.fullmatch(name)]
 
 
 def _fault_injector():

@@ -101,7 +101,7 @@ class PassTask:
         return key_digest(self.cache_key())[:TASK_ID_CHARS]
 
     def describe(self) -> str:
-        """Human-readable identity for error messages and the journal."""
+        """Human-readable identity for error messages and the task ledger."""
         designs = ",".join(self.design_names) or "<baseline>"
         return (f"{self.experiment_id or '?'}: reference pass "
                 f"workload={self.workload} "
@@ -142,7 +142,7 @@ class CoreTask:
         return key_digest(self.cache_key())[:TASK_ID_CHARS]
 
     def describe(self) -> str:
-        """Human-readable identity for error messages and the journal."""
+        """Human-readable identity for error messages and the task ledger."""
         return (f"{self.experiment_id or '?'}: core run "
                 f"workload={self.workload} "
                 f"hierarchy={self.hierarchy_config.name} "
@@ -187,7 +187,7 @@ class MulticoreTask:
         return key_digest(self.cache_key())[:TASK_ID_CHARS]
 
     def describe(self) -> str:
-        """Human-readable identity for error messages and the journal."""
+        """Human-readable identity for error messages and the task ledger."""
         designs = ",".join(self.design_names) or "<baseline>"
         return (f"{self.experiment_id or '?'}: multicore pass "
                 f"workloads={','.join(self.workloads)} "

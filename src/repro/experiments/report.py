@@ -110,9 +110,10 @@ def generate_report(
 
     ``policy`` (an :class:`~repro.experiments.resilience.ExecutionPolicy`)
     controls retries/timeouts/degradation; ``journal`` (a
-    :class:`~repro.experiments.checkpoint.RunJournal`) records each
-    completed pass durably so an interrupted report run can resume.  A
-    journaled run prefetches even with ``jobs=1``.
+    :class:`~repro.experiments.checkpoint.RunJournal` over the pass
+    cache's directory) lets an interrupted report run resume: a run
+    with a journal prefetches even with ``jobs=1``, so every pass lands
+    on disk the moment it completes.
     """
     settings = settings or ExperimentSettings()
     if experiments is None:

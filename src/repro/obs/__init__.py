@@ -1,7 +1,7 @@
 """Run observatory: persisted run manifests and the ``obs`` CLI.
 
-Every journaled run directory (``--run-dir``) gets a schema-versioned
-**run manifest** written beside the journal: the config fingerprint, the
+Every run directory (``--run-dir``) gets a schema-versioned **run
+manifest** written beside its pass cache: the config fingerprint, the
 design line-up, the span tree recorded across parent and workers
 (:mod:`repro.telemetry.spans`), the merged metrics snapshot, the
 resilience events (retries, timeouts, pool rebuilds, degradations) and

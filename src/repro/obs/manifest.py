@@ -5,9 +5,9 @@ exact configuration (fingerprinted, so two manifests are comparable at a
 glance), the design line-up, the full span tree with task/worker/attempt
 attribution, the resilience events, the merged metrics snapshot and an
 environment capture.  It is written **atomically** (temp file +
-``os.replace``) beside the run journal, so a crash mid-write can never
-leave a torn manifest — the same discipline the journal and pass cache
-pin.
+``os.replace``) beside the run directory's pass cache, so a crash
+mid-write can never leave a torn manifest — the same discipline the
+pass cache pins.
 
 Deliberately absent: wall-clock timestamps.  Manifests are identified by
 their config fingerprint and compared by their measurements; stamping

@@ -14,7 +14,7 @@ tables:
   budget/coverage constraints.
 * :mod:`repro.search.runner` — the loop that fans candidate evaluations
   out over the parallel executor, dedupes through the pass cache,
-  checkpoints through the run journal, and renders byte-stable ranked
+  resumes from a run directory's pass cache, and renders byte-stable ranked
   reports with a Pareto frontier.
 
 Exposed on the CLI as ``repro-mnm search``.

@@ -10,10 +10,11 @@ riding every contract the executor already pins:
 * **dedupe** — tasks content-address into the pass cache, so a candidate
   re-proposed by a later round (or a re-run against a warm ``--cache-dir``)
   costs a lookup, not a simulation;
-* **checkpoint/resume** — with a run journal every completed pass is
-  durable the moment it finishes; an interrupted search re-run with the
+* **checkpoint/resume** — under ``--run-dir`` every completed pass is
+  in the run directory's pass cache the moment it finishes, and the run
+  journal is a view of that cache; an interrupted search re-run with the
   same ``--run-dir`` replays its (deterministic) decision sequence
-  against the journaled results and recomputes only unfinished passes;
+  against the cached results and recomputes only unfinished passes;
 * **determinism** — samplers are pure functions of ``(space, seed,
   scores)`` and results merge in plan order, so the ranked report is
   byte-identical for any ``--jobs`` value.
@@ -267,7 +268,8 @@ def run_search(
     randomness and the scores of its own proposals, evaluations aggregate
     in plan order, and ranking ties break on (storage bits, name) — so
     the report is byte-identical for any ``jobs`` value and across
-    kill+resume (the journal and pass cache replay completed passes).
+    kill+resume (the run directory's pass cache replays completed
+    passes).
     """
     settings = settings or ExperimentSettings()
     hierarchy_config = hierarchy_config or paper_hierarchy_5level()
@@ -386,8 +388,8 @@ def run_search(
         if to_run_multicore:
             # Multicore candidates fan out as MulticoreTask specs — one
             # topology pass per (candidate, workload); the same
-            # content-addressed cache dedupes and the journal resumes
-            # them.  Energy/access-time reductions are 0.0 by definition
+            # content-addressed cache dedupes and resumes them.
+            # Energy/access-time reductions are 0.0 by definition
             # (there is no multicore power model), so rank this family by
             # a coverage metric.
             parsed = {name: parse_multicore_name(name)

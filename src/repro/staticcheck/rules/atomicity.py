@@ -4,9 +4,9 @@ The crash-safety story rests on two write idioms: temp-file +
 ``os.replace`` (atomic replace) and temp-file + ``os.link``
 (first-writer-wins publication).  Those idioms live in one place —
 :mod:`repro.experiments.atomic` — and R009 keeps them there: inside the
-modules that own durable state (the pass cache, the run journal, the
-execution backends, the run manifest), a raw ``open(..., "w")`` is a
-torn-file bug waiting for a SIGKILL.
+modules that own durable state (the pass cache and the run journal
+that reads it, the execution backends, the run manifest), a raw
+``open(..., "w")`` is a torn-file bug waiting for a SIGKILL.
 
 Flagged, inside the scoped modules only:
 
@@ -21,12 +21,11 @@ Reads are never flagged, non-literal modes are skipped (conservative),
 and :mod:`repro.experiments.atomic` itself is exempt — it is the one
 module allowed to spell the raw idioms out.
 
-Legitimate exceptions exist — the checkpoint journal *appends* with
-per-entry fsync by design, recovering torn tails on resume — and must
-say so with a rationale::
+Legitimate exceptions (an append-only log whose reader skips a torn
+tail, say) must say so with a rationale::
 
-    handle = open(self.path, "a")  # repro: allow[R009] fsync-per-entry
-                                   # append journal; torn tails recovered
+    handle = open(self.path, "a")  # repro: allow[R009] append-only log;
+                                   # its reader skips a torn tail
 
 Scope is intentionally narrow: a scratch file in ``analysis/`` or a
 report written by the CLI does not carry crash-safety obligations, so

@@ -24,8 +24,8 @@ F's body:
 A field deliberately excluded from the key must say so where the field
 is declared::
 
-    fault_spec: str = ""  # repro: allow[R007] faults change whether a
-                          # run fails, never what it computes
+    engine: str = "fast"  # repro: allow[R007] the engines are
+                          # byte-identical, so passes are interchangeable
 
 — the rationale is mandatory, mirroring the docstring contract the
 pass cache already documents prose-side.

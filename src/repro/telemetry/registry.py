@@ -37,7 +37,8 @@ Naming convention (dotted, lowercase) used by the simulation wiring:
 ``executor.tasks.completed`` /            the parallel executor's task ledger:
 ``.retried`` / ``.timeout`` /             retries after transient failures,
 ``.failed`` / ``.recovered`` /            timeouts, fatal failures, successes
-``.resumed``                              after retry, journal-resumed skips
+``.resumed``                              after retry, tasks a ``--run-dir``
+                                          re-run found already cached
 ``executor.pool.broken`` / ``.rebuilds``  worker-pool collapses and rebuilds
 ``executor.serial_fallback``              degradations to serial execution
 ========================================  =====================================

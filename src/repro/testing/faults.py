@@ -3,9 +3,9 @@
 Chaos testing for :mod:`repro.experiments.executor`: prove that a worker
 that raises, hangs past its timeout, dies with ``os._exit`` or corrupts
 its disk-cache write costs a retried task — never the report.  The
-executor, :mod:`repro.experiments.passcache` and the run journal expose
-three hook *sites*; this module decides, deterministically, whether a
-fault fires there.
+executor and :mod:`repro.experiments.passcache` expose two hook
+*sites*; this module decides, deterministically, whether a fault fires
+there.
 
 Everything is a pure function of the spec and the hook's context — no
 wall clock, no global RNG — so a chaos run is exactly reproducible:
@@ -20,8 +20,8 @@ wall clock, no global RNG — so a chaos run is exactly reproducible:
 
 Activation: set ``REPRO_FAULTS`` in the environment (the executor
 forwards the active spec to its workers explicitly, so spawn-based pools
-inject too) or ``ExperimentSettings.fault_spec``.  The spec is JSON —
-one object or a list — or a bare kind name as shorthand::
+inject too).  The spec is JSON — one object or a list — or a bare kind
+name as shorthand::
 
     REPRO_FAULTS='{"site": "task", "kind": "raise", "fail_attempts": 2}'
     REPRO_FAULTS='raise'            # same, with defaults
@@ -38,9 +38,6 @@ Sites and kinds:
                    ``interrupt`` (``KeyboardInterrupt``, for Ctrl-C tests)
 ``cache-write``    in the pass cache's disk store: ``corrupt`` truncates
                    and garbles the envelope bytes actually written
-``journal-write``  in the run journal's appender: ``torn`` appends a
-                   truncated, newline-less entry (a crash mid-append);
-                   a resumed run must skip it, count it and recompute
 =================  ==========================================================
 """
 
@@ -56,18 +53,16 @@ from typing import Optional, Tuple
 from repro.experiments.resilience import TransientTaskError
 
 #: Hook sites production code exposes.
-SITES = ("task", "cache-write", "journal-write")
+SITES = ("task", "cache-write")
 
 #: Fault kinds, per site.
 TASK_KINDS = ("raise", "hang", "exit", "interrupt")
 CACHE_KINDS = ("corrupt",)
-TORN_KINDS = ("torn",)
 
 #: site -> legal kinds (shorthand parsing and spec validation).
 SITE_KINDS = {
     "task": TASK_KINDS,
     "cache-write": CACHE_KINDS,
-    "journal-write": TORN_KINDS,
 }
 
 
@@ -156,7 +151,6 @@ def parse_fault_spec(text: str) -> Tuple[FaultSpec, ...]:
             return (FaultSpec(site="task", kind=text),)
         if text in CACHE_KINDS:
             return (FaultSpec(site="cache-write", kind=text),)
-        # "torn" has no shorthand: spell the journal-write site out in JSON.
         raise ValueError(f"unknown fault shorthand {text!r}; expected one "
                          f"of {TASK_KINDS + CACHE_KINDS} or a JSON spec")
     try:
@@ -219,16 +213,6 @@ class FaultInjector:
             for spec in self.specs
         )
 
-    def should_tear(self, site: str, key: str,
-                    attempt: Optional[int] = None) -> bool:
-        """The ``journal-write`` site: truncate this write?"""
-        attempt = self.attempt if attempt is None else attempt
-        return any(
-            spec.site == site and spec.kind == "torn"
-            and spec.fires(key, attempt)
-            for spec in self.specs
-        )
-
 
 def corrupt_bytes(data: bytes) -> bytes:
     """Deterministically garble an envelope: truncate and stamp garbage.
@@ -259,17 +243,6 @@ def configure_faults(spec_text: Optional[str]) -> Optional[FaultInjector]:
     return _INJECTOR
 
 
-def env_fault_spec() -> str:
+def resolve_fault_spec() -> str:
     """The ambient ``REPRO_FAULTS`` value ("" when unset)."""
     return os.environ.get("REPRO_FAULTS", "")
-
-
-def resolve_fault_spec(settings: Optional[object] = None) -> str:
-    """The effective spec: explicit settings first, then the environment.
-
-    ``settings`` is an :class:`~repro.experiments.base.ExperimentSettings`
-    (typed as object to keep this module import-light); its
-    ``fault_spec`` field wins over ``REPRO_FAULTS``.
-    """
-    explicit = getattr(settings, "fault_spec", "") if settings else ""
-    return explicit or env_fault_spec()

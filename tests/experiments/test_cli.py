@@ -117,6 +117,32 @@ class TestExitCodes:
                      EXIT_BAD_PATH, f"{flag} directory does not exist",
                      capsys)
 
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "fig10", "--run-dir", "{tmp}/rd",
+          "--trace-out", "{tmp}/t.jsonl", "--trace-sample", "0"],
+         EXIT_BAD_VALUE),
+        (["run", "fig10", "--run-dir", "{tmp}/rd",
+          "--metrics-out", "/nonexistent/m.json"], EXIT_BAD_PATH),
+        (["run", "fig10", "--run-dir", "{tmp}/rd", "--retries", "-1"],
+         EXIT_BAD_VALUE),
+        (["run", "fig10", "--cache-dir", "{tmp}/cache", "--retries", "-1"],
+         EXIT_BAD_VALUE),
+        (["search", "--run-dir", "{tmp}/rd", "--samples", "0"],
+         EXIT_BAD_VALUE),
+        (["multicore", "--run-dir", "{tmp}/rd", "--cores", "0"],
+         EXIT_BAD_VALUE),
+    ], ids=["trace-sample", "metrics-out", "retries", "cache-dir",
+            "search-samples", "multicore-cores"])
+    def test_refused_run_leaves_nothing_on_disk(self, argv, code, tmp_path,
+                                                capsys):
+        """Every flag is validated before a directory or manifest is made."""
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, *SMALL])
+        assert excinfo.value.code == code
+        capsys.readouterr()
+        assert os.listdir(tmp_path) == []
+
 
 class TestResume:
     def test_journaled_run_skips_completed_passes(self, tmp_path, capsys):
@@ -124,20 +150,40 @@ class TestResume:
         metrics = tmp_path / "metrics.json"
         assert main(["run", "fig10", *SMALL, "--jobs", "1",
                      "--run-dir", str(run_dir)]) == 0
-        journal = run_dir / "journal.jsonl"
-        assert journal.exists()
-        entries = journal.read_text().splitlines()
-        assert len(entries) >= 2  # header + at least one completed task
-        assert (run_dir / "passes").is_dir()
-        assert os.listdir(run_dir / "passes")
+        assert sorted(os.listdir(run_dir)) == ["manifest.json", "passes"]
+        entries = list((run_dir / "passes").glob("*.pkl"))
+        assert entries  # at least one completed task
 
         capsys.readouterr()
         assert main(["run", "fig10", *SMALL, "--jobs", "1",
                      "--run-dir", str(run_dir),
                      "--metrics-out", str(metrics)]) == 0
         counters = json.loads(metrics.read_text())["counters"]
-        assert counters["executor.tasks.resumed"] == len(entries) - 1
+        assert counters["executor.tasks.resumed"] == len(entries)
         assert "executor.tasks.completed" not in counters
+
+    def test_torn_pass_entry_recomputes_only_its_task(self, tmp_path, capsys):
+        """A crash can tear a pass entry: a re-run recomputes that task."""
+        run_dir = tmp_path / "run"
+        argv = ["run", "fig10", "--instructions", "4000",
+                "--workloads", "twolf,gcc", "--warmup-fraction", "0.25",
+                "--jobs", "1", "--run-dir", str(run_dir)]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main([*argv, "--json", str(first)]) == 0
+        entries = sorted((run_dir / "passes").glob("*.pkl"))
+        assert len(entries) >= 2
+        data = entries[0].read_bytes()
+        entries[0].write_bytes(data[:len(data) // 2])
+
+        capsys.readouterr()
+        metrics = tmp_path / "metrics.json"
+        assert main([*argv, "--json", str(second),
+                     "--metrics-out", str(metrics)]) == 0
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["executor.tasks.completed"] == 1
+        assert counters["executor.tasks.resumed"] == len(entries) - 1
+        assert counters["cache.pass.disk.corrupt"] == 1
+        assert second.read_text() == first.read_text()
 
 
 class TestAll:

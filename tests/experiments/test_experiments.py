@@ -1,5 +1,7 @@
 """Tests for the experiment harness (tiny settings for speed)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.base import (
@@ -77,6 +79,23 @@ class TestRegistry:
         # frontier coverage strictly increases with storage
         coverages = [row[2] for row in frontier]
         assert coverages == sorted(coverages)
+
+    def test_pareto_honours_the_engine(self, monkeypatch):
+        """Under ``interp``, pareto never reaches the kernel."""
+        import repro.kernel
+
+        fast = run_experiment("pareto", TINY)
+        calls = []
+        kernel_pass = repro.kernel.run_reference_pass_fast
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return kernel_pass(*args, **kwargs)
+
+        monkeypatch.setattr(repro.kernel, "run_reference_pass_fast", spy)
+        interp = run_experiment("pareto", replace(TINY, engine="interp"))
+        assert calls == []
+        assert interp.render() == fast.render()
 
 
 class TestPassCache:

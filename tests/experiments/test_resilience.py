@@ -41,13 +41,17 @@ TWO_WORKLOADS = dataclasses.replace(TINY, workloads=("twolf", "gcc"))
 FAST = ExecutionPolicy(retry=RetryPolicy(max_attempts=3, backoff_base=0.0))
 
 
-def chaos(settings: ExperimentSettings, **spec) -> ExperimentSettings:
-    """The same settings with a fault-injection rule attached."""
-    return dataclasses.replace(settings, fault_spec=json.dumps(spec))
+@pytest.fixture
+def chaos(monkeypatch):
+    """Install one fault-injection rule through ``REPRO_FAULTS``."""
+    def install(**spec) -> None:
+        monkeypatch.setenv("REPRO_FAULTS", json.dumps(spec))
+    return install
 
 
 @pytest.fixture(autouse=True)
-def fresh_state():
+def fresh_state(monkeypatch):
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
     configure_pass_cache()
     yield
     configure_pass_cache()
@@ -192,10 +196,10 @@ class TestSerialRetries:
         assert excinfo.value.attempts == 1
         assert "ValueError" in str(excinfo.value)
 
-    def test_injected_raise_fault_on_a_real_task(self):
+    def test_injected_raise_fault_on_a_real_task(self, chaos):
         registry = telemetry.enable_metrics()
-        settings = chaos(TINY, site="task", kind="raise", fail_attempts=2)
-        tasks = plan_experiments(["fig10"], settings)
+        chaos(site="task", kind="raise", fail_attempts=2)
+        tasks = plan_experiments(["fig10"], TINY)
         assert execute_tasks(tasks, jobs=1, policy=FAST) == len(tasks)
         counters = registry.snapshot()["counters"]
         assert counters["executor.tasks.retried"] == 2 * len(tasks)
@@ -220,11 +224,10 @@ class TestSpanAttribution:
         assert all(e["attrs"]["task"] == ledger[0]["task_id"]
                    for e in retries)
 
-    def test_injected_parallel_fault_attributed_in_ledger(self):
+    def test_injected_parallel_fault_attributed_in_ledger(self, chaos):
         spans = telemetry.enable_spans()
-        settings = chaos(TWO_WORKLOADS, site="task", kind="raise",
-                         fail_attempts=1)
-        tasks = plan_experiments(["fig10"], settings)
+        chaos(site="task", kind="raise", fail_attempts=1)
+        tasks = plan_experiments(["fig10"], TWO_WORKLOADS)
         assert execute_tasks(tasks, jobs=2, policy=FAST) == len(tasks)
         ledger = spans.snapshot()["tasks"]
         assert len(ledger) == len(tasks)
@@ -240,23 +243,22 @@ class TestSpanAttribution:
 class TestChaosParallel:
     """Injected worker faults vs. the pool: the report must not notice."""
 
-    def test_worker_raise_report_is_byte_identical(self):
+    def test_worker_raise_report_is_byte_identical(self, chaos):
         clean = generate_report(TINY, experiments=["fig10"], jobs=1)
         configure_pass_cache()
         registry = telemetry.enable_metrics()
-        settings = chaos(TINY, site="task", kind="raise", fail_attempts=1)
-        chaotic = generate_report(settings, experiments=["fig10"],
+        chaos(site="task", kind="raise", fail_attempts=1)
+        chaotic = generate_report(TINY, experiments=["fig10"],
                                   jobs=2, policy=FAST)
         assert chaotic == clean
         counters = registry.snapshot()["counters"]
         assert counters["executor.tasks.retried"] >= 1
         assert counters["executor.tasks.recovered"] >= 1
 
-    def test_worker_death_breaks_the_pool_but_not_the_run(self):
+    def test_worker_death_breaks_the_pool_but_not_the_run(self, chaos):
         registry = telemetry.enable_metrics()
-        settings = chaos(TWO_WORKLOADS, site="task", kind="exit",
-                         fail_attempts=1)
-        tasks = plan_experiments(["fig10"], settings)
+        chaos(site="task", kind="exit", fail_attempts=1)
+        tasks = plan_experiments(["fig10"], TWO_WORKLOADS)
         assert len(tasks) >= 2  # keeps the run on the pool path
         assert execute_tasks(tasks, jobs=2, policy=FAST) == len(tasks)
         counters = registry.snapshot()["counters"]
@@ -270,11 +272,10 @@ class TestChaosParallel:
         assert all(cache.lookup(task.cache_key()) is not None
                    for task in tasks)
 
-    def test_hung_worker_is_timed_out_and_retried(self):
+    def test_hung_worker_is_timed_out_and_retried(self, chaos):
         registry = telemetry.enable_metrics()
-        settings = chaos(TWO_WORKLOADS, site="task", kind="hang",
-                         fail_attempts=1, hang_seconds=30.0)
-        tasks = plan_experiments(["fig10"], settings)
+        chaos(site="task", kind="hang", fail_attempts=1, hang_seconds=30.0)
+        tasks = plan_experiments(["fig10"], TWO_WORKLOADS)
         assert len(tasks) >= 2
         policy = ExecutionPolicy(
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
@@ -285,11 +286,10 @@ class TestChaosParallel:
         assert counters["executor.pool.rebuilds"] >= 1
         assert counters["executor.tasks.completed"] == len(tasks)
 
-    def test_repeated_pool_collapse_degrades_to_serial(self):
+    def test_repeated_pool_collapse_degrades_to_serial(self, chaos):
         registry = telemetry.enable_metrics()
-        settings = chaos(TWO_WORKLOADS, site="task", kind="exit",
-                         fail_attempts=1)
-        tasks = plan_experiments(["fig10"], settings)
+        chaos(site="task", kind="exit", fail_attempts=1)
+        tasks = plan_experiments(["fig10"], TWO_WORKLOADS)
         assert len(tasks) >= 2
         policy = ExecutionPolicy(
             retry=RetryPolicy(max_attempts=3, backoff_base=0.0),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.experiments.cli import EXIT_BAD_PATH, EXIT_BAD_VALUE, main
@@ -25,8 +27,10 @@ def run_dir(tmp_path_factory):
 
 class TestRunDir:
     def test_manifest_written_beside_journal(self, run_dir):
-        assert (run_dir / "manifest.json").exists()
-        assert (run_dir / "journal.jsonl").exists()
+        # The journal is the pass cache: the run directory holds it and
+        # the manifest, nothing else.
+        assert sorted(os.listdir(run_dir)) == ["manifest.json", "passes"]
+        assert list((run_dir / "passes").glob("*.pkl"))
         manifest = load_manifest(str(run_dir))
         assert manifest["status"] == "ok"
         assert manifest["command"] == "run"

@@ -155,21 +155,16 @@ class TestDedupeAndResume:
 
     def test_journal_resume_recomputes_nothing(self, tmp_path):
         run_dir = str(tmp_path / "run")
-        journal = RunJournal.open(run_dir)
         configure_pass_cache(cache_dir=RunJournal.passes_dir(run_dir))
-        try:
+        with RunJournal.open(run_dir) as journal:
             first = quick_search(RandomSampler(5, seed=2), journal=journal)
-        finally:
-            journal.close()
         assert first.tasks_computed > 0
 
-        # a fresh process would start from the journal's disk cache
+        # a fresh process would start from the run directory's disk cache
         configure_pass_cache(cache_dir=RunJournal.passes_dir(run_dir))
-        journal = RunJournal.open(run_dir)
-        try:
+        with RunJournal.open(run_dir) as journal:
+            assert len(journal) == first.tasks_computed
             resumed = quick_search(RandomSampler(5, seed=2), journal=journal)
-        finally:
-            journal.close()
         assert resumed.tasks_computed == 0
         assert resumed.render() == first.render()
 

@@ -13,14 +13,12 @@ import sys
 import pytest
 
 import repro
-from repro.experiments.base import ExperimentSettings
 from repro.testing.faults import (
     FaultInjector,
     FaultSpec,
     InjectedFault,
     configure_faults,
     corrupt_bytes,
-    env_fault_spec,
     get_injector,
     parse_fault_spec,
     resolve_fault_spec,
@@ -47,14 +45,6 @@ class TestParsing:
         (spec,) = parse_fault_spec("corrupt")
         assert spec.site == "cache-write"
         assert spec.kind == "corrupt"
-
-    def test_torn_has_no_shorthand(self):
-        """``torn`` is spelled out in JSON, with its journal-write site."""
-        with pytest.raises(ValueError):
-            parse_fault_spec("torn")
-        (spec,) = parse_fault_spec(
-            '{"site": "journal-write", "kind": "torn"}')
-        assert spec.site == "journal-write"
 
     def test_json_object(self):
         (spec,) = parse_fault_spec(
@@ -91,7 +81,7 @@ class TestParsing:
         with pytest.raises(ValueError):
             FaultSpec(site="task", kind="corrupt")  # cache-only kind
         with pytest.raises(ValueError):
-            FaultSpec(site="task", kind="torn")  # journal-only kind
+            FaultSpec(site="task", kind="torn")  # no site has this kind
         with pytest.raises(ValueError):
             FaultSpec(site="task", kind="raise", rate=1.5)
         with pytest.raises(ValueError):
@@ -170,19 +160,6 @@ class TestInjector:
     def test_configure_empty_spec_disables(self):
         assert configure_faults("") is None
 
-    def test_should_tear_distinguishes_sites(self):
-        injector = FaultInjector(parse_fault_spec(
-            '{"site": "journal-write", "kind": "torn"}'))
-        assert injector.should_tear("journal-write", "key", 1)
-        assert not injector.should_tear("cache-write", "key", 1)
-
-    def test_tear_site_uses_the_ambient_attempt(self):
-        injector = FaultInjector(parse_fault_spec(
-            '{"site": "journal-write", "kind": "torn"}'))
-        assert injector.should_tear("journal-write", "key")
-        injector.set_attempt(2)
-        assert not injector.should_tear("journal-write", "key")
-
 
 class TestCorruptBytes:
     def test_garbled_output_is_deterministic_and_marked(self):
@@ -199,18 +176,10 @@ class TestCorruptBytes:
 class TestResolution:
     def test_env_var_is_the_ambient_spec(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "raise")
-        assert env_fault_spec() == "raise"
-        assert resolve_fault_spec(None) == "raise"
-
-    def test_settings_win_over_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "raise")
-        settings = ExperimentSettings(
-            num_instructions=4000, fault_spec="corrupt")
-        assert resolve_fault_spec(settings) == "corrupt"
+        assert resolve_fault_spec() == "raise"
 
     def test_unset_everywhere_is_empty(self):
-        assert resolve_fault_spec(ExperimentSettings(
-            num_instructions=4000)) == ""
+        assert resolve_fault_spec() == ""
 
 
 class TestImportOrder:
