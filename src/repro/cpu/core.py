@@ -20,9 +20,19 @@ feasible (see DESIGN.md).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from heapq import heapreplace
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Union
+from itertools import islice
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
@@ -135,6 +145,9 @@ class CoreReferences(NamedTuple):
     #: Index of the first access of instruction ``warmup``: the number of
     #: accesses the warm-up makes.
     boundary: int
+    #: Per instruction: True where it starts a fetch line, so its fetch is
+    #: one of the accesses.
+    fetches: np.ndarray
 
 
 #: Kind codes of :class:`CoreReferences` (the kernel's ``KINDS`` order).
@@ -159,7 +172,8 @@ def derive_references(
 
     One vectorised pass: one cumulative sum of accesses per instruction
     places every access and gives the warm-up boundary.  Addresses are
-    returned as int64, unchecked; kinds as int8 codes.
+    returned as int64, unchecked; kinds as int8 codes; ``fetches`` marks
+    the instructions that fetch.
     """
     ops, pcs, addrs = columns.op, columns.pc, columns.addr
     count = len(ops)
@@ -191,7 +205,7 @@ def derive_references(
     fetch_at = (ends - is_data)[is_fetch] - 1
     addresses[fetch_at] = pcs[is_fetch]
     kinds[fetch_at] = _FETCH
-    return CoreReferences(addresses, kinds, boundary)
+    return CoreReferences(addresses, kinds, boundary, is_fetch)
 
 
 def core_references(
@@ -206,12 +220,13 @@ def core_references(
     32-bit address space, as a cache access would, and narrowed to
     uint32.
     """
-    wide, kinds, boundary = derive_references(as_columns(instructions),
-                                              fetch_block_size, warmup)
+    derived = derive_references(as_columns(instructions), fetch_block_size,
+                                warmup)
+    wide = derived.addresses
     outside = (wide < 0) | (wide >= ADDRESS_SPACE)
     if outside.any():
         validate_address(int(wide[outside.argmax()]))
-    return CoreReferences(wide.astype(np.uint32), kinds, boundary)
+    return derived._replace(addresses=wide.astype(np.uint32))
 
 
 @dataclass
@@ -253,6 +268,7 @@ class OutOfOrderCore:
         instructions: Union[Trace, Iterable[Instruction]],
         warmup: int = 0,
         on_warmup_end: Optional[callable] = None,
+        latencies: Optional[Sequence[int]] = None,
     ) -> CoreResult:
         """Execute a trace; return timing for the post-warmup portion.
 
@@ -266,10 +282,24 @@ class OutOfOrderCore:
         boundary is crossed, letting the caller reset energy or coverage
         meters at the same point.  A negative ``warmup`` raises
         :class:`ValueError`.
+
+        Two loops, one result.  Without ``latencies`` the loop asks the
+        memory system for each fetch, load and store as it reaches it:
+        ``run_core_trace(engine="interp")`` takes this loop, the oracle.
+        ``run_core_trace(engine="fast")`` passes ``latencies``, the
+        latency of every access of :func:`core_references` in its order,
+        and the memory system is never accessed: the fetch stalls, load
+        latencies and branch mispredicts (one pass of the predictor over
+        the trace's branches) become per-instruction columns first, and
+        the loop times the dataflow recurrences alone.  A column of any
+        other length than that stream raises :class:`RuntimeError`.
         """
         if warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
         columns = as_columns(instructions)
+        if latencies is not None:
+            return self._run_over_latencies(columns, latencies, warmup,
+                                            on_warmup_end)
         config = self.config
         memory = self.memory
         access = memory.access
@@ -437,4 +467,159 @@ class OutOfOrderCore:
             branches=branches,
             mispredicts=mispredicts,
             fetch_lines=fetch_lines - warmup_fetch_lines,
+        )
+
+    def _run_over_latencies(
+        self,
+        columns: InstructionColumns,
+        latencies: Sequence[int],
+        warmup: int,
+        on_warmup_end: Optional[callable],
+    ) -> CoreResult:
+        """:meth:`run` over a latency column: the fast engine's loop.
+
+        Everything that depends only on the trace and the column is a
+        per-instruction column before the loop starts; the loop keeps the
+        recurrences of the interpreter's, in the same order, and applies
+        a mispredict's redirect at its branch (fetch time only grows, so
+        only the next instruction could see it).
+        """
+        config = self.config
+        memory = self.memory
+        ops = columns.op
+        count = len(ops)
+        derived = derive_references(columns, memory.fetch_block_size)
+        latencies = np.asarray(latencies, np.int64)
+        if len(latencies) != len(derived.kinds):
+            raise RuntimeError(
+                f"{len(latencies)} latencies for the {len(derived.kinds)} "
+                f"accesses of the derived reference stream")
+        l1i_latency = memory.l1_instruction_latency
+        is_load = ops == _LOAD_OP
+        is_memory = is_load | (ops == _STORE_OP)
+
+        # Per instruction: its class's latency or, for a load, the
+        # memory's; the cycles its line fetch stalls the front end; whether
+        # it holds an MSHR slot (see run); whether it is a mispredicted
+        # branch.
+        latency_column = np.array(
+            [config.latencies.get(op, 0) for op in OP_CLASSES], np.int64)[ops]
+        latency_column[is_load] = latencies[derived.kinds == _LOAD]
+        stall_column = np.zeros(count, np.int64)
+        stall_column[derived.fetches] = np.maximum(
+            latencies[derived.kinds == _FETCH] - l1i_latency, 0)
+        holds_mshr = (is_load & (latency_column > l1i_latency)
+                      & (config.mshr_count > 0))
+        mispredicted = np.zeros(count, np.bool_)
+        predictor = self.predictor
+        if not isinstance(predictor, PerfectPredictor):
+            predict, update = predictor.predict, predictor.update
+            branch_at = np.flatnonzero(ops == _BRANCH_OP)
+            wrong = []
+            for pc, taken in zip(columns.pc[branch_at].tolist(),
+                                 columns.taken[branch_at].tolist()):
+                wrong.append(predict(pc) != taken)
+                update(pc, taken)
+            mispredicted[branch_at] = wrong
+
+        # Register -1 reads slot NUM_REGISTERS, which stays 0, and writes
+        # slot NUM_REGISTERS + 1, which nothing reads.
+        reg_ready = [0] * (NUM_REGISTERS + 2)
+        sources = [np.where(column < 0, NUM_REGISTERS, column).tolist()
+                   for column in (columns.src1, columns.src2)]
+        dests = np.where(columns.dest < 0, NUM_REGISTERS + 1,
+                         columns.dest).tolist()
+        heaps = [[0] * config.units[op] for op in OP_CLASSES]
+        # The windows hold the commit times of their last ruu_size (or
+        # lsq_size) instructions; the leftmost frees the next slot.
+        ruu = deque([0] * config.ruu_size, config.ruu_size)
+        lsq = deque([0] * config.lsq_size, config.lsq_size)
+        mshrs = [0] * config.mshr_count
+        width = config.width
+        redirect_delay = config.mispredict_penalty + config.frontend_depth
+
+        # The fetch cycle plus the front-end depth: the cycle the front
+        # end delivers the next instruction to dispatch.
+        delivery = config.frontend_depth
+        fetched_this_cycle = 0
+        last_commit = committed_this_cycle = 0
+        warmup_commit = 0
+        # The warm-up, then the rest: counting starts at instruction
+        # ``warmup`` if there is one, else at the start (as in run).
+        measured_from = warmup if warmup < count else 0
+        rows = zip(map(heaps.__getitem__, ops.tolist()),
+                   latency_column.tolist(), stall_column.tolist(), *sources,
+                   dests, is_memory.tolist(), holds_mshr.tolist(),
+                   mispredicted.tolist())
+        for stop in (measured_from, None):
+            for (units, latency, stall, src1, src2, dest, memory_op,
+                 long_load, redirects) in islice(rows, stop):
+                # ------------------------------------------------ fetch
+                if stall:
+                    delivery += stall
+                    fetched_this_cycle = 0
+                if fetched_this_cycle >= width:
+                    delivery += 1
+                    fetched_this_cycle = 1
+                else:
+                    fetched_this_cycle += 1
+
+                # ------------------------------------- dispatch, issue
+                ready = ruu[0]
+                if delivery > ready:
+                    ready = delivery
+                if memory_op:
+                    free = lsq[0]
+                    if free > ready:
+                        ready = free
+                free = reg_ready[src1]
+                if free > ready:
+                    ready = free
+                free = reg_ready[src2]
+                if free > ready:
+                    ready = free
+                free = units[0]
+                issue = ready if ready > free else free
+                heapreplace(units, issue + 1)
+
+                # --------------------------------------------- complete
+                if long_load:
+                    free = mshrs[0]
+                    if free > issue:
+                        issue = free
+                    heapreplace(mshrs, issue + latency)
+                complete = issue + latency
+                reg_ready[dest] = complete
+                if redirects:
+                    redirect = complete + redirect_delay
+                    if redirect > delivery:
+                        delivery = redirect
+                        fetched_this_cycle = 0
+
+                # ----------------------------------------------- commit
+                if complete > last_commit:
+                    last_commit = complete
+                    committed_this_cycle = 1
+                else:
+                    committed_this_cycle += 1
+                    if committed_this_cycle > width:
+                        last_commit += 1
+                        committed_this_cycle = 1
+                ruu.append(last_commit)
+                if memory_op:
+                    lsq.append(last_commit)
+            if stop:
+                warmup_commit = last_commit
+                if on_warmup_end is not None:
+                    on_warmup_end()
+
+        measured = np.bincount(ops[measured_from:], minlength=len(OP_CLASSES))
+        return CoreResult(
+            cycles=last_commit - warmup_commit,
+            instructions=max(count - warmup, 0),
+            loads=int(measured[_LOAD_OP]),
+            stores=int(measured[_STORE_OP]),
+            branches=int(measured[_BRANCH_OP]),
+            mispredicts=int(mispredicted[measured_from:].sum()),
+            fetch_lines=int(derived.fetches[measured_from:].sum()),
         )

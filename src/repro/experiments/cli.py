@@ -620,8 +620,9 @@ def _run_command(args: argparse.Namespace,
             with open(args.json_path, "a") as handle:
                 json.dump(result.to_dict(), handle)
                 handle.write("\n")
-        _emit(f"[{experiment_id} took {time.perf_counter() - started:.1f}s]\n",
-              args.output)
+        # Wall-clock time goes to stdout only: an --output file holds
+        # results, which are the same on every run.
+        print(f"[{experiment_id} took {time.perf_counter() - started:.1f}s]\n")
     return 0
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analysis.coverage import CoverageMeter
 from repro.analysis.timing import AccessTimingModel
 from repro.cache.cache import AccessKind
@@ -219,65 +221,6 @@ class SimulatedMemory(MemorySystem):
             self._telemetry.flush()
 
 
-class ReplayedMemory(MemorySystem):
-    """Memory system that hands the core precomputed latencies in order.
-
-    The fast engine computes a full-system run's memory side first: the
-    latency of every access the core will make, in order
-    (:func:`repro.cpu.core.core_references`).  This replays them.  It
-    raises if the core asks for an ``(address, kind)`` other than the
-    next one derived, if the warm-up boundary falls elsewhere than
-    derived, or (:meth:`finish`) if a latency is left over.
-    """
-
-    def __init__(self, addresses: Sequence[int], kinds: Sequence[int],
-                 kind_of: Sequence[AccessKind], latencies: Sequence[int],
-                 fetch_block_size: int, l1_instruction_latency: int,
-                 boundary: int) -> None:
-        self._addresses = addresses
-        self._kinds = kinds
-        self._kind_of = kind_of
-        self._latencies = latencies
-        self._fetch_block = fetch_block_size
-        self._l1i_latency = l1_instruction_latency
-        self._boundary = boundary
-        self._next = 0
-
-    def access(self, address: int, kind: AccessKind) -> int:
-        index = self._next
-        if (index >= len(self._latencies)
-                or address != self._addresses[index]
-                or kind is not self._kind_of[self._kinds[index]]):
-            raise RuntimeError(
-                f"core access {index} ({address:#x}, {kind!r}) is not the "
-                f"derived reference stream's"
-            )
-        self._next = index + 1
-        return self._latencies[index]
-
-    @property
-    def fetch_block_size(self) -> int:
-        return self._fetch_block
-
-    @property
-    def l1_instruction_latency(self) -> int:
-        return self._l1i_latency
-
-    def end_warmup(self) -> None:
-        """The core's warm-up boundary: it must fall where derived."""
-        if self._next != self._boundary:
-            raise RuntimeError(
-                f"warm-up ended after {self._next} accesses, derived "
-                f"{self._boundary}"
-            )
-
-    def finish(self) -> None:
-        """Raise unless the core consumed every latency."""
-        left = len(self._latencies) - self._next
-        if left:
-            raise RuntimeError(f"{left} derived accesses were never made")
-
-
 def build_memory(
     hierarchy_config: HierarchyConfig,
     design: Optional[MNMDesign] = None,
@@ -413,14 +356,15 @@ def run_core_trace(
 
     ``engine`` picks how the memory side is computed, with the same
     values and tracer fallback as :func:`run_reference_pass`.  ``"interp"``
-    runs the core against :class:`SimulatedMemory`, which queries, walks
-    and prices each access as the core makes it: the oracle.  ``"fast"``
-    relies on the core making its accesses in program order whatever
-    the timing, so each access's latency, energy and coverage depend
-    only on (trace, hierarchy, design): the kernel records, replays and
-    accounts the core's reference stream in batch
-    (:func:`_kernel_memory`), then the unchanged core runs against
-    :class:`ReplayedMemory`.  Both return identical results.
+    runs :meth:`OutOfOrderCore.run`'s memory-system loop against
+    :class:`SimulatedMemory`, which queries, walks and prices each access
+    as the core makes it: the oracle.  ``"fast"`` relies on the core
+    making its accesses in program order whatever the timing, so each
+    access's latency, energy and coverage depend only on (trace,
+    hierarchy, design): the kernel records, replays and accounts the
+    core's reference stream in batch (:func:`_kernel_memory`), and the
+    core's latency-column loop then times the trace with each access's
+    latency read by position.  Both return identical results.
     """
     _check_engine(engine)
     _check_warmup(warmup)
@@ -432,12 +376,10 @@ def run_core_trace(
     if core_config is None:
         core_config = paper_core(8)
     if _use_kernel(engine):
-        memory, replayed = _kernel_memory(trace, hierarchy_config, design,
-                                          warmup)
-        core = OutOfOrderCore(core_config, replayed, predictor)
-        result = core.run(trace, warmup=warmup,
-                          on_warmup_end=replayed.end_warmup)
-        replayed.finish()
+        memory, latencies = _kernel_memory(trace, hierarchy_config, design,
+                                           warmup)
+        core = OutOfOrderCore(core_config, memory, predictor)
+        result = core.run(trace, warmup=warmup, latencies=latencies)
     else:
         memory = build_memory(hierarchy_config, design)
         core = OutOfOrderCore(core_config, memory, predictor)
@@ -468,7 +410,7 @@ def _kernel_memory(
     hierarchy_config: HierarchyConfig,
     design: Optional[MNMDesign],
     warmup: int,
-) -> Tuple[SimulatedMemory, ReplayedMemory]:
+) -> Tuple[SimulatedMemory, np.ndarray]:
     """A full-system run's memory side, computed by the kernel in batch.
 
     Records the core's reference stream, then wires the design's machine,
@@ -479,10 +421,10 @@ def _kernel_memory(
     Queries start at reference 0, because warm-up latencies steer the
     core's timing; coverage, energy, telemetry and cache statistics count
     from the warm-up boundary, the first access of instruction
-    ``warmup``.  Returns the filled-in memory and the core's replay.
+    ``warmup``.  Returns the filled-in memory and the latency of every
+    access, in :func:`~repro.cpu.core.core_references` order.
     """
     from repro.kernel.engine import (
-        KINDS,
         Accounting,
         Replay,
         count_classes,
@@ -491,7 +433,8 @@ def _kernel_memory(
 
     level_one = hierarchy_config.tiers[0]
     fetch_block = (level_one.unified or level_one.instruction).block_size
-    addresses, kinds, boundary = core_references(trace, fetch_block, warmup)
+    addresses, kinds, boundary, _ = core_references(trace, fetch_block,
+                                                    warmup)
     recording = record(addresses, kinds, hierarchy_config, reset_at=boundary)
     memory = build_memory(hierarchy_config, design,
                           hierarchy=recording.hierarchy)
@@ -507,11 +450,7 @@ def _kernel_memory(
     accounting.fold(counts, present, with_bits, latency_of, memory.coverage,
                     memory._telemetry)
     accounting.energy(memory.accountant, measured, present, with_bits)
-    replayed = ReplayedMemory(
-        memoryview(addresses), memoryview(kinds), KINDS,
-        memoryview(latency_of[class_ids]), fetch_block,
-        memory.l1_instruction_latency, boundary)
-    return memory, replayed
+    return memory, latency_of[class_ids]
 
 
 # ---------------------------------------------------------------------------

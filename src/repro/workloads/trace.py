@@ -88,7 +88,7 @@ class Trace:
         derivation (:func:`repro.cpu.core.derive_references`) with lines
         ended only by taken branches, as ``(int, AccessKind)`` pairs.
         """
-        addresses, kinds, _ = derive_references(
+        addresses, kinds, _, _ = derive_references(
             self.columns, fetch_block_size, taken_only=True)
         return zip(addresses.tolist(), map(_KINDS.__getitem__, kinds.tolist()))
 

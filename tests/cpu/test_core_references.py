@@ -1,8 +1,9 @@
 """The core's reference stream: one derivation, pinned to the core itself.
 
 :func:`repro.cpu.core.core_references` is the stream the fast full-system
-engine records and the replayed memory checks the core against, so it must
-equal the ``memory.access`` calls :meth:`OutOfOrderCore.run` makes —
+engine records and whose latencies the core's latency-column loop reads by
+position, so it must equal the ``memory.access`` calls the interpreter's
+loop of :meth:`OutOfOrderCore.run` makes —
 whatever the latencies, the branch predictor or the core width — and its
 boundary must be the number of accesses made when ``on_warmup_end`` fires.
 ``reference_stream`` below is the per-instruction loop the vectorised
@@ -40,6 +41,17 @@ def reference_stream(instructions, fetch_block_size):
             yield inst.addr, AccessKind.STORE
         elif inst.op is OpClass.BRANCH:
             current_line = -1
+
+
+def fetch_starts(instructions, fetch_block_size):
+    """Per instruction: whether the per-instruction loop fetches its line."""
+    line_shift = log2_exact(fetch_block_size)
+    starts, current_line = [], -1
+    for inst in instructions:
+        line = inst.pc >> line_shift
+        starts.append(line != current_line)
+        current_line = -1 if inst.op is OpClass.BRANCH else line
+    return starts
 
 
 def pairs(references):
@@ -89,6 +101,7 @@ def assert_derivation_matches_core(instructions, block_size, warmup=0,
     assert pairs(derived) == log
     assert log == list(reference_stream(instructions, block_size))
     assert derived.boundary == boundary
+    assert derived.fetches.tolist() == fetch_starts(instructions, block_size)
     return derived
 
 

@@ -1,0 +1,133 @@
+"""The core's latency-column loop against its memory-system loop.
+
+:meth:`OutOfOrderCore.run` with ``latencies`` (the fast engine's loop)
+must return what the same core returns against a memory system when the
+column holds the latency that memory gives each access of
+:func:`~repro.cpu.core.core_references`, in order, and train its branch
+predictor the same way.  A column of any other length raises
+:class:`RuntimeError`, also under ``python -O``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro.cache.cache import AccessKind
+from repro.cpu.branch import (
+    BimodalPredictor,
+    GSharePredictor,
+    PerfectPredictor,
+    StaticTakenPredictor,
+)
+from repro.cpu.core import OutOfOrderCore, core_references, paper_core
+from repro.cpu.isa import OP_CODES, OpClass
+from repro.cpu.memory import FixedLatencyMemory, MemorySystem
+from repro.workloads import get_trace
+
+
+class ScatteredMemory(MemorySystem):
+    """Latencies that vary with the address: a fixed function of it, so
+    some fetches stall and some loads outlast the MSHR threshold."""
+
+    def __init__(self, block_size=32, l1_latency=2):
+        self._block_size = block_size
+        self._l1_latency = l1_latency
+
+    def access(self, address, kind):
+        mixed = (address * 2654435761 >> 9) & 0xFF
+        if kind is AccessKind.INSTRUCTION:
+            return self._l1_latency + (mixed % 40 if mixed < 24 else 0)
+        return self._l1_latency + (mixed if mixed < 90 else 0)
+
+    @property
+    def fetch_block_size(self):
+        return self._block_size
+
+    @property
+    def l1_instruction_latency(self):
+        return self._l1_latency
+
+
+def latency_column(trace, memory):
+    """What ``memory`` answers for each access of the trace's core stream."""
+    derived = core_references(trace, memory.fetch_block_size)
+    kinds = tuple(AccessKind)
+    return np.array([memory.access(address, kinds[code]) for address, code
+                     in zip(derived.addresses.tolist(),
+                            derived.kinds.tolist())], np.int64)
+
+
+def both_loops(trace, memory, config, make_predictor, warmup):
+    """Run both loops; return their results, warm-up callback counts and
+    the predictors' final predictions at every branch pc."""
+    column = latency_column(trace, memory)
+    outcomes = []
+    for latencies in (None, column):
+        predictor = make_predictor()
+        fired = []
+        result = OutOfOrderCore(config, memory, predictor).run(
+            trace, warmup=warmup, on_warmup_end=lambda: fired.append(1),
+            latencies=latencies)
+        branch = trace.columns.op == OP_CODES[OpClass.BRANCH.value]
+        pcs = trace.columns.pc[branch].tolist()
+        outcomes.append((result, len(fired),
+                         [predictor.predict(pc) for pc in pcs]))
+    return outcomes
+
+
+PREDICTORS = {
+    "bimodal": BimodalPredictor,
+    "bimodal-16": lambda: BimodalPredictor(16),
+    "gshare": GSharePredictor,
+    "static-taken": StaticTakenPredictor,
+    "perfect": PerfectPredictor,
+}
+
+
+@pytest.mark.parametrize("predictor", sorted(PREDICTORS))
+@pytest.mark.parametrize("app, warmup", [("mcf", 1000), ("twolf", 0),
+                                         ("gcc", 2999), ("vpr", 5000)])
+def test_latency_column_loop_equals_the_memory_loop(app, warmup, predictor):
+    trace = get_trace(app, 3000, 1)
+    oracle, fast = both_loops(trace, ScatteredMemory(), paper_core(8),
+                              PREDICTORS[predictor], warmup)
+    assert fast == oracle
+    assert oracle[1] == (1 if 0 < warmup < len(trace) else 0)
+
+
+@pytest.mark.parametrize("changes", [
+    {"width": 4, "ruu_size": 8, "lsq_size": 2},
+    {"mshr_count": 0},
+    {"mshr_count": 1, "mispredict_penalty": 0},
+    {"frontend_depth": 0, "ruu_size": 16},
+])
+def test_small_windows_and_mshrs(changes):
+    config = dataclasses.replace(paper_core(8), **changes)
+    trace = get_trace("art", 3000, 2718)
+    oracle, fast = both_loops(trace, ScatteredMemory(block_size=16), config,
+                              BimodalPredictor, 750)
+    assert fast == oracle
+
+
+@pytest.mark.parametrize("change", [-1, 1])
+def test_column_of_another_length_raises(change):
+    """One entry short or one over the derived stream: RuntimeError, not an
+    assert, so ``python -O`` keeps the check."""
+    trace = get_trace("gcc", 2000, 1)
+    memory = FixedLatencyMemory(2, 30, block_size=32)
+    column = latency_column(trace, memory)
+    wrong = column[:change] if change < 0 else np.append(column, 2)
+    core = OutOfOrderCore(paper_core(8), memory)
+    with pytest.raises(RuntimeError, match="derived reference stream"):
+        core.run(trace, warmup=500, latencies=wrong)
+    result = core.run(trace, warmup=500, latencies=column)
+    assert result.instructions == len(trace) - 500
+
+
+def test_empty_trace():
+    memory = FixedLatencyMemory()
+    result = OutOfOrderCore(paper_core(8), memory).run([], latencies=[])
+    assert result == OutOfOrderCore(paper_core(8), memory).run([])
+    with pytest.raises(RuntimeError, match="derived reference stream"):
+        OutOfOrderCore(paper_core(8), memory).run([], latencies=[2])

@@ -51,6 +51,22 @@ class TestRun:
         capsys.readouterr()
         assert "HMNM4" in path.read_text()
 
+    def test_output_file_is_the_same_under_both_engines(self, tmp_path,
+                                                        capsys):
+        """An --output file holds results only: a serial run writes the
+        same bytes under either engine, and the wall-clock line goes to
+        stdout."""
+        paths = {engine: tmp_path / f"{engine}.txt"
+                 for engine in ("interp", "fast")}
+        for engine, path in paths.items():
+            assert main(["run", "table2", "fig15", "--instructions", "4000",
+                         "--workloads", "twolf", "--jobs", "1", "--no-cache",
+                         "--engine", engine, "--output", str(path)]) == 0
+            assert "[fig15 took " in capsys.readouterr().out
+        written = paths["interp"].read_bytes()
+        assert written == paths["fast"].read_bytes()
+        assert b"took" not in written
+
 
 SMALL = ["--instructions", "4000", "--workloads", "twolf",
          "--warmup-fraction", "0.25"]

@@ -254,28 +254,3 @@ def test_core_trace_tracer_forces_interpreter(tmp_path):
 def test_core_trace_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
         _core_run("gcc", "turbo")
-
-
-def test_replayed_memory_rejects_a_diverging_core():
-    from repro.cache.cache import AccessKind
-    from repro.kernel.engine import KINDS
-    from repro.simulate import ReplayedMemory
-
-    def replayed():
-        return ReplayedMemory([0x100, 0x2000], [0, 1], KINDS, [1, 7],
-                              fetch_block_size=32, l1_instruction_latency=1,
-                              boundary=1)
-
-    memory = replayed()
-    assert memory.access(0x100, AccessKind.INSTRUCTION) == 1
-    memory.end_warmup()
-    assert memory.access(0x2000, AccessKind.LOAD) == 7
-    memory.finish()
-    with pytest.raises(RuntimeError, match="derived reference stream"):
-        memory.access(0x2000, AccessKind.LOAD)
-    with pytest.raises(RuntimeError, match="derived reference stream"):
-        replayed().access(0x100, AccessKind.LOAD)
-    with pytest.raises(RuntimeError, match="warm-up ended"):
-        replayed().end_warmup()
-    with pytest.raises(RuntimeError, match="never made"):
-        replayed().finish()

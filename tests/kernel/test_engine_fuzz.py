@@ -7,7 +7,11 @@ policy, level 1 direct-mapped in about half of them), designs from every
 search-space family plus the paper hybrids and the oracle under every
 placement and MNM delay, short synthetic instruction traces with
 taken and not-taken branches, warm-ups up to and past the trace length,
-both paper cores and the perfect branch predictor.  Reference passes also
+both paper cores and the perfect branch predictor.  Full-system runs also
+take 2,000-6,000-instruction traces of three shapes (loops, load chains
+past the level-2 cache, store bursts) on cores with a small RUU and LSQ,
+0, 1 or 16 MSHRs and every branch predictor, so the windows and MSHRs
+fill and the predictor trains.  Reference passes also
 run reuse-heavy random streams against one RMNM of 64-512 entries, long
 enough that replaced blocks are placed again and queried.  Multicore
 passes draw 1-4 cores of short reference streams over the same
@@ -32,7 +36,12 @@ from repro.cache.cache import AccessKind, CacheConfig, CacheSide
 from repro.cache.hierarchy import HierarchyConfig, TierConfig
 from repro.core.base import Placement
 from repro.core.presets import parse_design, rmnm_design
-from repro.cpu.branch import PerfectPredictor
+from repro.cpu.branch import (
+    BimodalPredictor,
+    GSharePredictor,
+    PerfectPredictor,
+    StaticTakenPredictor,
+)
 from repro.cpu.core import paper_core
 from repro.cpu.isa import Instruction, OpClass
 from repro.multicore.config import (
@@ -160,6 +169,99 @@ def traces(draw):
     return Trace(name="fuzz", seed=0, instructions=instructions)
 
 
+#: Shapes of the long traces (:func:`long_trace`).
+LONG_SHAPES = ("loops", "load-chains", "store-bursts")
+#: Ops of a loop body; its branches are taken at the loop's own rate.
+LOOP_OPS = (OpClass.IALU, OpClass.IALU, OpClass.IMUL, OpClass.FMUL,
+            OpClass.LOAD, OpClass.LOAD, OpClass.STORE, OpClass.BRANCH)
+LONG_PREDICTORS = {
+    "bimodal-2048": BimodalPredictor,
+    "bimodal-64": lambda: BimodalPredictor(64),
+    "bimodal-4": lambda: BimodalPredictor(4),
+    "gshare": GSharePredictor,
+    "static-taken": StaticTakenPredictor,
+    "perfect": PerfectPredictor,
+}
+
+
+def long_trace(seed, shape, count, span):
+    """``count`` instructions of one shape, from ``random.Random(seed)``.
+
+    ``loops``: bodies of 6-40 instructions, each run 2-60 times and then
+    exited (the back edge is taken until the last trip), with branches
+    inside taken at the loop's own rate, so a predictor trains and still
+    mispredicts.  ``load-chains``: pointer chases, each load's address
+    register written by the previous load, at random addresses below
+    ``span``, so long misses queue for MSHRs.  ``store-bursts``: runs of
+    8-80 stores between short load and compute stretches, so the LSQ
+    fills.
+    """
+    rng = random.Random(seed)
+    instructions = []
+    pc = rng.randrange(1 << 12) * 4
+
+    def emit(op, dest=-1, src1=-1, src2=-1, addr=-1, taken=False, target=-1):
+        nonlocal pc
+        instructions.append(Instruction(op, pc, dest, src1, src2, addr,
+                                        taken, target))
+        pc = target if taken else pc + 4
+
+    def register():
+        return rng.randrange(16)
+
+    def address():
+        return rng.randrange(span) & ~3
+
+    while len(instructions) < count:
+        if shape == "loops":
+            start, base, rate = pc, address(), rng.random()
+            body = [(rng.choice(LOOP_OPS), register(), register(), register())
+                    for _ in range(rng.randint(5, 39))]
+            trips = rng.randint(2, 60)
+            for trip in range(trips):
+                for slot, (op, dest, src1, src2) in enumerate(body):
+                    if op is OpClass.BRANCH:
+                        emit(op, src1=src1, taken=rng.random() < rate,
+                             target=pc + 4)
+                    elif op.is_memory:
+                        emit(op, dest if op is OpClass.LOAD else -1, src1,
+                             addr=(base + 4 * (trip * len(body) + slot))
+                             % span)
+                    else:
+                        emit(op, dest, src1, src2)
+                emit(OpClass.BRANCH, src1=register(), taken=trip < trips - 1,
+                     target=start)
+        elif shape == "load-chains":
+            chain = rng.randrange(16, 24)
+            for _ in range(rng.randint(4, 60)):
+                emit(OpClass.LOAD, chain, chain, addr=address())
+                if rng.random() < 0.3:
+                    emit(OpClass.IALU, register(), chain)
+        else:
+            for _ in range(rng.randint(8, 80)):
+                emit(OpClass.STORE, src1=register(), addr=address())
+            for _ in range(rng.randint(1, 12)):
+                if rng.random() < 0.5:
+                    emit(OpClass.LOAD, register(), register(), addr=address())
+                else:
+                    emit(OpClass.IALU, register(), register(), register())
+    return Trace(name=shape, seed=seed, instructions=instructions[:count])
+
+
+@st.composite
+def small_cores(draw):
+    """A paper core's units with a small RUU and LSQ, 0, 1 or 16 MSHRs
+    and a mispredict penalty of 0 or 3."""
+    width = draw(st.sampled_from((4, 8)), label="core width")
+    return dataclasses.replace(
+        paper_core(width), name="fuzz-core",
+        ruu_size=draw(st.integers(width, 32), label="RUU"),
+        lsq_size=draw(st.integers(1, 16), label="LSQ"),
+        mshr_count=draw(st.sampled_from((0, 1, 16)), label="MSHRs"),
+        mispredict_penalty=draw(st.sampled_from((0, 3)),
+                                label="mispredict penalty"))
+
+
 #: Per-core reference streams: a small span, so the caches both hit and
 #: evict, and every access kind (stores drive coherence invalidations).
 #: A core may issue nothing.
@@ -215,6 +317,30 @@ def test_core_trace_engines_agree(hierarchy, design, trace, data):
         assert interp[0] == "ValueError"
     elif interp.coverage is not None:
         assert interp.coverage.violations == 0
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(LONG_SHAPES),
+       count=st.integers(2000, 6000), hierarchy=hierarchies(),
+       design=st.one_of(st.none(), designs()), core=small_cores(),
+       predictor=st.sampled_from(sorted(LONG_PREDICTORS)), data=st.data())
+def test_long_core_traces_engines_agree(seed, shape, count, hierarchy, design,
+                                        core, predictor, data):
+    """Traces long enough to fill the RUU, the LSQ and the MSHRs and to
+    train the predictor, which the short traces above seldom do."""
+    level_two = max(config.size_bytes for config in hierarchy.tiers[1].configs)
+    trace = long_trace(seed, shape, count, span=4 * level_two)
+    warmup = data.draw(st.integers(0, count // 2), label="warmup")
+    runs = {
+        engine: run_core_trace(
+            trace, hierarchy, design, core_config=core,
+            predictor=LONG_PREDICTORS[predictor](), warmup=warmup,
+            engine=engine)
+        for engine in ("interp", "fast")}
+    assert exact(runs["fast"]) == exact(runs["interp"])
+    if runs["interp"].coverage is not None:
+        assert runs["interp"].coverage.violations == 0
 
 
 @FUZZ
