@@ -296,18 +296,14 @@ class CacheHierarchy:
 
     # --------------------------------------------------------------- access
 
-    def access(self, address: int, kind: AccessKind,
-               start: int = 1) -> AccessOutcome:
+    def access(self, address: int, kind: AccessKind) -> AccessOutcome:
         """Walk the hierarchy for one reference and update cache state.
 
-        Tiers are probed front to back from ``start`` until one hits (or
-        memory supplies the block); the block is then filled into every
-        missing tier from ``start`` on the way back, firing place/replace
-        events that the MNM observes.  A ``start`` past 1 continues a
-        reference that missed every closer tier, whose caches were
-        simulated elsewhere (the kernel computes a direct-mapped level 1 in
-        batch); those caches are left untouched.  A ``kind`` that is not an
-        :class:`AccessKind` raises ``KeyError(kind)``.
+        Tiers are probed front to back until one hits (or memory supplies
+        the block); the block is then filled into every missing tier on
+        the way back, firing place/replace events that the MNM observes.
+        A ``kind`` that is not an :class:`AccessKind` raises
+        ``KeyError(kind)``.
         """
         # Identity checks: hashing an Enum member runs Python code.
         if kind is _INSTRUCTION:
@@ -322,8 +318,8 @@ class CacheHierarchy:
         else:
             raise KeyError(kind)
         supplier: Optional[int] = MEMORY_TIER
-        tier = start - 1
-        for cache in route[tier:]:
+        tier = 0
+        for cache in route:
             tier += 1
             if cache.probe(address, write=write):
                 supplier = tier
@@ -332,7 +328,7 @@ class CacheHierarchy:
         fill_limit = len(route) if supplier is MEMORY_TIER else supplier - 1
         # Refill farthest-first: the block lands in the outer levels before
         # the inner ones, mirroring the return path of the data.
-        for tier in range(fill_limit, start - 1, -1):
+        for tier in range(fill_limit, 0, -1):
             cache = route[tier - 1]
             evicted = cache.fill(address, dirty=write and tier == 1)
             if self.writeback and evicted is not None and cache.last_evicted_dirty:

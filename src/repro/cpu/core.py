@@ -280,8 +280,9 @@ class OutOfOrderCore:
         SimPoint-style fast-forward the paper relies on (Section 4.1),
         scaled down.  ``on_warmup_end`` fires once when the warmup
         boundary is crossed, letting the caller reset energy or coverage
-        meters at the same point.  A negative ``warmup`` raises
-        :class:`ValueError`.
+        meters at the same point.  A negative ``warmup``, or a positive
+        one that covers the whole trace (it would measure nothing), raises
+        :class:`ValueError` before anything runs.
 
         Two loops, one result.  Without ``latencies`` the loop asks the
         memory system for each fetch, load and store as it reaches it:
@@ -297,6 +298,10 @@ class OutOfOrderCore:
         if warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
         columns = as_columns(instructions)
+        if 0 < warmup >= len(columns.op):
+            raise ValueError(
+                f"core run measured nothing: warmup={warmup} covers the "
+                f"entire trace ({len(columns.op)} instructions)")
         if latencies is not None:
             return self._run_over_latencies(columns, latencies, warmup,
                                             on_warmup_end)
@@ -461,7 +466,7 @@ class OutOfOrderCore:
 
         return CoreResult(
             cycles=last_commit - warmup_commit,
-            instructions=max(count - warmup, 0),
+            instructions=count - warmup,
             loads=loads,
             stores=stores,
             branches=branches,
@@ -545,13 +550,12 @@ class OutOfOrderCore:
         last_commit = committed_this_cycle = 0
         warmup_commit = 0
         # The warm-up, then the rest: counting starts at instruction
-        # ``warmup`` if there is one, else at the start (as in run).
-        measured_from = warmup if warmup < count else 0
+        # ``warmup``.
         rows = zip(map(heaps.__getitem__, ops.tolist()),
                    latency_column.tolist(), stall_column.tolist(), *sources,
                    dests, is_memory.tolist(), holds_mshr.tolist(),
                    mispredicted.tolist())
-        for stop in (measured_from, None):
+        for stop in (warmup, None):
             for (units, latency, stall, src1, src2, dest, memory_op,
                  long_load, redirects) in islice(rows, stop):
                 # ------------------------------------------------ fetch
@@ -613,13 +617,13 @@ class OutOfOrderCore:
                 if on_warmup_end is not None:
                     on_warmup_end()
 
-        measured = np.bincount(ops[measured_from:], minlength=len(OP_CLASSES))
+        measured = np.bincount(ops[warmup:], minlength=len(OP_CLASSES))
         return CoreResult(
             cycles=last_commit - warmup_commit,
-            instructions=max(count - warmup, 0),
+            instructions=count - warmup,
             loads=int(measured[_LOAD_OP]),
             stores=int(measured[_STORE_OP]),
             branches=int(measured[_BRANCH_OP]),
-            mispredicts=int(mispredicted[measured_from:].sum()),
-            fetch_lines=int(derived.fetches[measured_from:].sum()),
+            mispredicts=int(mispredicted[warmup:].sum()),
+            fetch_lines=int(derived.fetches[warmup:].sum()),
         )

@@ -5,28 +5,32 @@ every design's filters one at a time.  This kernel restructures the same
 computation into three phases so the per-reference Python overhead is paid
 once, not once per design:
 
-**Phase A (record, :func:`record`, :func:`record_multicore`).**  Drive the
-real :class:`~repro.cache.hierarchy.CacheHierarchy` (or
-:class:`~repro.multicore.hierarchy.MulticoreHierarchy`) over the reference
-stream exactly as the interpreter does (including warm-up and the
-statistics resets), but with recording listeners on every tracked cache
-instead of filter listeners.  When every level-1 cache is direct-mapped
-(the paper's 4 KB L1s), :func:`record` computes level 1 in numpy — an
-access hits when the previous access to its set was to the same block —
-installs its final state and statistics in the real caches, and walks
-only its misses through the hierarchy, from tier 2.  That is exact
-because the recorded hierarchy is non-inclusive and writes nothing back,
-so each tier's state depends on its own accesses only, and level 1 is
-never tracked, so it fires no recorded event.  The result is flat integer
-arrays: per reference the address, access-kind code and supplier code
-(and the issuing core), and per event the reference ordinal, cache and
-block of the ordered place/replace stream each cache produced (and the
-active core).
+**Phase A (record, :func:`record`, :func:`record_multicore`).**  Leave
+the real :class:`~repro.cache.hierarchy.CacheHierarchy` (or
+:class:`~repro.multicore.hierarchy.MulticoreHierarchy`) in the state the
+interpreter's walk of the reference stream leaves it (warm-up and the
+statistics resets included), and record what that walk's tracked caches
+fire instead of feeding filter listeners.  :func:`record` simulates one
+cache at a time, not one reference at a time: each cache runs once over
+its own accesses, the references that missed every closer cache on their
+side, in stream order.  That is exact because the recorded hierarchy is
+non-inclusive and writes nothing back, so a cache's state depends on its
+own accesses only.  A direct-mapped level 1 (the paper's 4 KB L1s) is
+computed in numpy — an access hits when the previous access to its set
+was to the same block; every other cache runs a probe-and-fill loop that
+drives its own replacement policy.  The tracked caches' misses and
+victims become place and replace events, sorted once into the walk's
+firing order.  :func:`record_multicore` walks the interleaved stream with
+recording listeners, since peers' coherence invalidations tie the caches
+together.  The result is flat integer arrays: per reference the address,
+access-kind code and supplier code (and the issuing core), and per event
+the reference ordinal, cache and block of the ordered place/replace
+stream each cache produced (and the active core).
 
 **Phase B (replay, :class:`Replay`).**  For each design, build a real
 :class:`~repro.core.machine.MostlyNoMachine` (or
-:class:`~repro.multicore.mnm.MulticoreMNM`) on the walked hierarchy, which
-is never accessed again, and replay the recorded events against its
+:class:`~repro.multicore.mnm.MulticoreMNM`) on the recorded hierarchy,
+which is never accessed again, and replay the recorded events against its
 filter banks.  A non-RMNM component takes its bank's whole event stream
 (warm-up first) and query rows in one
 :meth:`~repro.core.base.MissFilter.replay` call.  The default applies
@@ -125,10 +129,11 @@ _ENERGY_CHUNK = 1024
 # ---------------------------------------------------------------------------
 
 class Recording:
-    """One hierarchy walk, held in flat integer arrays.
+    """One simulation of a hierarchy over a stream, in flat integer arrays.
 
     Attributes:
-        hierarchy: the walked hierarchy (its statistics are the run's): a
+        hierarchy: the simulated hierarchy, in the state the walk of every
+            reference through it leaves (its statistics are the run's): a
             :class:`~repro.cache.hierarchy.CacheHierarchy`, or a
             :class:`~repro.multicore.hierarchy.MulticoreHierarchy` for a
             multicore walk.
@@ -139,9 +144,11 @@ class Recording:
             address, the :data:`KINDS` code and the supplying tier (0 for
             main memory).
         event_ordinals / event_codes / event_blocks: per tracked-cache
-            event, in firing order: the recorded reference that caused it
-            (-1 during the warm-up prefix), ``2 * tracked_index + is_place``
-            and the cache's block address.
+            event, in the walk's firing order (by reference, farthest tier
+            first, a replacement before the placement it makes room for):
+            the recorded reference that caused it (-1 during the warm-up
+            prefix), ``2 * tracked_index + is_place`` and the cache's block
+            address.
         cores / event_cores: multicore walks only (empty otherwise): per
             recorded reference the issuing core, and per event the
             hierarchy's active core when it fired.
@@ -173,12 +180,12 @@ class Recording:
 
 
 def _listen(recording: Recording, current: List[int],
-            multicore: Optional[MulticoreHierarchy] = None) -> None:
+            multicore: MulticoreHierarchy) -> None:
     """Register the recording listeners on every tracked cache.
 
     ``current[0]`` is the recorded ordinal of the in-flight access (-1
-    during the warm-up).  For a ``multicore`` walk each event also records
-    the hierarchy's active core.  Registered after the listeners the
+    during the warm-up).  Each event also records the ``multicore``
+    hierarchy's active core.  Registered after the listeners the
     hierarchy registers itself (the inclusive back-invalidators), the
     recorded event order is the order a filter listener sees.
     """
@@ -188,17 +195,11 @@ def _listen(recording: Recording, current: List[int],
     event_cores = recording.event_cores
 
     def _recording_listener(code: int):
-        if multicore is not None:
-            def listener(_cache: Cache, block: int) -> None:
-                ordinals.append(current[0])
-                codes.append(code)
-                blocks.append(block)
-                event_cores.append(multicore.active_core)
-        else:
-            def listener(_cache: Cache, block: int) -> None:
-                ordinals.append(current[0])
-                codes.append(code)
-                blocks.append(block)
+        def listener(_cache: Cache, block: int) -> None:
+            ordinals.append(current[0])
+            codes.append(code)
+            blocks.append(block)
+            event_cores.append(multicore.active_core)
 
         return listener
 
@@ -251,7 +252,7 @@ def record(
     warmup: int = 0,
     reset_at: int = 0,
 ) -> Recording:
-    """Phase A: walk a fresh hierarchy over a reference stream's columns.
+    """Phase A: simulate a fresh hierarchy over a reference stream's columns.
 
     ``addresses`` (32-bit unsigned) and ``kinds`` (:data:`KINDS` codes)
     are the stream as :func:`reference_columns` or
@@ -264,17 +265,25 @@ def record(
     stream's length) — the full-system warm-up boundary, where queries
     continue but measurement starts.
 
-    When every level-1 cache is direct-mapped, level 1 is computed in
-    numpy (:func:`_direct_mapped_level_one`) and only the references that
-    miss it walk the hierarchy, from tier 2; otherwise every reference
-    walks from tier 1.
+    The result is the walk's: every reference through
+    :meth:`~repro.cache.hierarchy.CacheHierarchy.access` in turn.  It is
+    computed one cache at a time instead, which is exact because the
+    hierarchy is non-inclusive and writes nothing back, so a cache's state
+    depends only on its own accesses: the rows that missed every closer
+    cache on their side, in stream order.  A direct-mapped level-1 cache
+    is computed in numpy (:func:`_fill_direct_mapped`); every other cache
+    runs its own probe-and-fill loop (:func:`_fill_in_order`).  A tracked
+    cache's misses become its place events and its victims its replace
+    events, sorted once into the walk's firing order; warm-up events keep
+    ordinal -1, in walk order.  Every cache ends as the walk leaves it:
+    statistics (counted from the last reset), contents, dirty bits (a
+    store hit dirties its block at any tier, a store miss only at level
+    1), ``last_evicted_dirty`` and replacement state.
     """
     hierarchy = CacheHierarchy(hierarchy_config)
     tracked = [(tier, cache) for tier, cache in hierarchy.all_caches()
                if tier >= 2]
     recording = Recording(hierarchy, tracked)
-    current = [-1]
-    _listen(recording, current)
 
     addresses = _np.asarray(addresses)
     if addresses.dtype != _np.uint32:
@@ -294,68 +303,58 @@ def record(
     else:
         stats_from = 0
 
-    level_one = hierarchy.caches_at(1)
-    if all(cache.config.associativity == 1 for cache in level_one):
-        start = 2
-        walked = _direct_mapped_level_one(level_one, addresses, kinds,
-                                          stats_from)
-    else:
-        start = 1
-        walked = _np.arange(total)
+    suppliers = _np.zeros(total, dtype=_np.int8)  # 0: main memory
+    reaching = _np.ones(total, dtype=bool)  # missed every closer tier
+    fetches = kinds == 0
+    # Each event's sort key is its row times ``width`` plus its rank in
+    # the row's firing order: farthest tier first, replace before place.
+    width = 2 * hierarchy.num_tiers
+    keys, codes, blocks = [], [], []
+    index = 0
+    for tier, cache in hierarchy.all_caches():
+        config = cache.config
+        if config.side is CacheSide.UNIFIED:
+            rows = _np.flatnonzero(reaching)
+        else:
+            rows = _np.flatnonzero(
+                reaching & (fetches == (config.side is CacheSide.INSTRUCTION)))
+        accessed = addresses[rows] >> config.offset_bits
+        stores = kinds[rows] == 2
+        if tier == 1 and config.associativity == 1:
+            hits = _fill_direct_mapped(cache, rows, accessed, stores,
+                                       stats_from)
+        else:
+            hits, victims = _fill_in_order(cache, rows, accessed, stores,
+                                           tier == 1, stats_from)
+            if tier >= 2:
+                missed = rows[~hits]
+                evicting = victims >= 0
+                rank = width - 2 * tier
+                keys += (missed[evicting] * width + rank,
+                         missed * width + rank + 1)
+                codes += (_np.full(int(evicting.sum()), 2 * index),
+                          _np.full(missed.shape[0], 2 * index + 1))
+                blocks += (victims[evicting], accessed[~hits])
+                index += 1
+        supplied = rows[hits]
+        suppliers[supplied] = tier
+        reaching[supplied] = False
 
-    access = hierarchy.access
-    walked_suppliers = array("b")
-    append = walked_suppliers.append
-
-    def walk(steps: Iterable[Tuple[int, int, AccessKind]]) -> None:
-        for ordinal, address, kind in steps:
-            current[0] = ordinal
-            supplier = access(address, kind, start).supplier
-            append(0 if supplier is None else supplier)
-
-    steps = zip(_np.maximum(walked - seen, -1).tolist(),
-                addresses[walked].tolist(),
-                map(KINDS.__getitem__, kinds[walked].tolist()))
-    walk(islice(steps, int(_np.searchsorted(walked, stats_from))))
-    if stats_from:
-        for tier, cache in hierarchy.all_caches():
-            if tier >= start:
-                cache.stats.reset()
-    walk(steps)
-
-    suppliers = _np.ones(total, dtype=_np.int8)  # level-1 hits supply
-    suppliers[walked] = _np.frombuffer(walked_suppliers, dtype=_np.int8)
+    if keys:
+        event_keys = _np.concatenate(keys)
+        order = _np.argsort(event_keys)
+        event_rows = event_keys[order] // width
+        for column, values in (
+                (recording.event_ordinals, _np.maximum(event_rows - seen, -1)),
+                (recording.event_codes, _np.concatenate(codes)[order]),
+                (recording.event_blocks, _np.concatenate(blocks)[order])):
+            column.frombytes(values.astype(column.typecode).tobytes())
     recording.addresses.frombytes(addresses[seen:].tobytes())
     recording.kinds.frombytes(kinds[seen:].tobytes())
     recording.suppliers.frombytes(suppliers[seen:].tobytes())
     recording.count = count
     recording.seen = total
     return recording
-
-
-def _direct_mapped_level_one(caches: Sequence[Cache],
-                             addresses: "_np.ndarray", kinds: "_np.ndarray",
-                             stats_from: int) -> "_np.ndarray":
-    """Simulate direct-mapped level-1 ``caches``; the rows that miss them.
-
-    Exact without the walk because the recorded hierarchy is non-inclusive
-    and writes nothing back, so a cache's state depends only on its own
-    accesses, and level 1 is never tracked, so it fires no recorded event.
-    Each cache ends in the state, statistics (counted from row
-    ``stats_from``) and replacement state the walk would leave.
-    """
-    hit = _np.zeros(addresses.shape[0], dtype=bool)
-    for cache in caches:
-        side = cache.config.side
-        if side is CacheSide.UNIFIED:
-            rows = _np.arange(addresses.shape[0])
-        else:
-            rows = _np.flatnonzero((kinds == 0)
-                                   == (side is CacheSide.INSTRUCTION))
-        hit[rows] = _fill_direct_mapped(
-            cache, rows, addresses[rows] >> cache.config.offset_bits,
-            kinds[rows] == 2, stats_from)
-    return _np.flatnonzero(~hit)
 
 
 def _fill_direct_mapped(cache: Cache, rows: "_np.ndarray",
@@ -425,6 +424,79 @@ def _fill_direct_mapped(cache: Cache, rows: "_np.ndarray",
     result = _np.empty(n, dtype=bool)
     result[order] = hits
     return result
+
+
+def _fill_in_order(cache: Cache, rows: "_np.ndarray", blocks: "_np.ndarray",
+                   stores: "_np.ndarray", dirty_fills: bool, stats_from: int
+                   ) -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """Run a fresh ``cache`` over its accesses in stream order.
+
+    ``rows``, ``blocks`` and ``stores`` are as for
+    :func:`_fill_direct_mapped`.  Each access is the walk's probe and, on
+    a miss, its fill: a hit refreshes the replacement state and a store
+    hit dirties the block; a miss takes the set's next never-filled way,
+    else the policy's victim, and fills the block dirty when it is a store
+    and ``dirty_fills`` (level 1's rule).  The cache's own policy sees
+    every ``on_hit``, ``on_fill`` and ``victim`` call the walk makes, so
+    every policy ends in the walk's state, and so do the statistics
+    (counted from row ``stats_from``) and ``last_evicted_dirty``.
+    Returns whether each access hits, and each miss's victim block (-1:
+    none).
+    """
+    way_of = cache._way_of
+    block_at = cache._block_at
+    dirty = cache._dirty
+    untouched = cache._untouched
+    policy = cache.policy
+    on_hit, on_fill, choose = policy.on_hit, policy.on_fill, policy.victim
+    ways = cache.config.associativity
+    set_mask = cache.config.num_sets - 1
+    hits = bytearray(rows.shape[0])
+    victims = array("q")
+    evicted_dirty = bytearray()
+    for position, (block, store) in enumerate(zip(blocks.tolist(),
+                                                  stores.tolist())):
+        way = way_of.get(block)
+        set_index = block & set_mask
+        if way is not None:
+            hits[position] = 1
+            if store:
+                dirty[set_index * ways + way] = 1
+            on_hit(set_index, way)
+            continue
+        way = untouched[set_index]
+        if way < ways:
+            untouched[set_index] = way + 1
+            slot = set_index * ways + way
+            victims.append(-1)
+            evicted_dirty.append(0)
+        else:
+            way = choose(set_index)
+            slot = set_index * ways + way
+            evicted = block_at[slot]
+            del way_of[evicted]
+            victims.append(evicted)
+            evicted_dirty.append(dirty[slot])
+        way_of[block] = way
+        block_at[slot] = block
+        dirty[slot] = store and dirty_fills
+        on_fill(set_index, way)
+
+    hit = _np.frombuffer(hits, dtype=bool)
+    victim = _np.frombuffer(victims, dtype=_np.int64)
+    dirty_victim = _np.frombuffer(evicted_dirty, dtype=bool)
+    # Rows ascend, so the counted accesses and misses are suffixes.
+    first = int(_np.searchsorted(rows, stats_from))
+    first_miss = first - int(hit[:first].sum())
+    stats = cache.stats
+    stats.probes = hit.shape[0] - first
+    stats.hits = int(hit[first:].sum())
+    stats.misses = stats.fills = stats.probes - stats.hits
+    stats.evictions = int((victim[first_miss:] >= 0).sum())
+    stats.dirty_evictions = int(dirty_victim[first_miss:].sum())
+    cache.last_evicted_dirty = bool(dirty_victim.shape[0]
+                                    and dirty_victim[-1])
+    return hit, victim
 
 
 def record_multicore(
@@ -1082,7 +1154,7 @@ def run_reference_pass_fast(
     if registry.enabled:
         registry.counter("pass.references").inc(n)
 
-    # The walked hierarchy hosts every design's machine: it is never
+    # The recorded hierarchy hosts every design's machine: it is never
     # accessed again (it only gives each machine caches to attach to — the
     # filters see the recorded event stream instead), so the listeners the
     # machines register on it never fire and designs cannot interfere

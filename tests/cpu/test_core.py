@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.cpu.branch import PerfectPredictor, StaticTakenPredictor
-from repro.cpu.core import CoreConfig, OutOfOrderCore, paper_core
+from repro.cpu.core import CoreConfig, CoreResult, OutOfOrderCore, paper_core
 from repro.cpu.isa import Instruction, OpClass
 from repro.cpu.memory import FixedLatencyMemory
 
@@ -197,6 +197,20 @@ class TestWarmup:
                               PerfectPredictor())
         with pytest.raises(ValueError, match="warmup must be >= 0"):
             core.run([ialu(i) for i in range(100)], warmup=-5)
+
+    @pytest.mark.parametrize("warmup", [100, 101])
+    def test_warmup_covering_the_trace_rejected(self, warmup):
+        """Regression: the counters reset only when instruction ``warmup``
+        was reached, so a warm-up covering the trace returned the whole
+        trace's cycles next to ``instructions=0``."""
+        core = OutOfOrderCore(paper_core(8), FixedLatencyMemory(2, 2),
+                              PerfectPredictor())
+        with pytest.raises(ValueError, match=f"warmup={warmup} covers the "
+                           "entire trace \\(100 instructions\\)"):
+            core.run([ialu(i) for i in range(100)], warmup=warmup)
+        with pytest.raises(ValueError, match="covers the entire trace"):
+            core.run([], warmup=1)
+        assert core.run([]) == CoreResult(0, 0, 0, 0, 0, 0, 0)
 
     def test_zero_warmup_no_callback(self):
         calls = []

@@ -78,16 +78,25 @@ def core_accesses(instructions, memory, warmup=0):
     """The accesses the core makes, and how many the warm-up makes.
 
     The latter is the log's length when ``on_warmup_end`` fires; with no
-    warm-up it is 0, and with one covering the trace (the callback never
-    fires) every access.
+    warm-up it is 0.  The core refuses a warm-up covering the trace before
+    it makes any access; the accesses do not depend on the warm-up, so
+    they are then those of a run without one, and every one is a warm-up
+    access.
     """
     log = logged_accesses(memory)
+    if 0 < warmup >= len(instructions):
+        with pytest.raises(ValueError, match="covers the entire trace"):
+            OutOfOrderCore(paper_core(8), memory).run(instructions,
+                                                      warmup=warmup)
+        assert log == []
+        OutOfOrderCore(paper_core(8), memory).run(instructions)
+        return log, len(log)
     boundary = []
     OutOfOrderCore(paper_core(8), memory).run(
         instructions, warmup=warmup,
         on_warmup_end=lambda: boundary.append(len(log)))
     if not boundary:
-        boundary.append(len(log) if warmup > 0 else 0)
+        boundary.append(0)
     assert len(boundary) == 1
     return log, boundary[0]
 

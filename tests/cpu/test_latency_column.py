@@ -87,13 +87,36 @@ PREDICTORS = {
 
 @pytest.mark.parametrize("predictor", sorted(PREDICTORS))
 @pytest.mark.parametrize("app, warmup", [("mcf", 1000), ("twolf", 0),
-                                         ("gcc", 2999), ("vpr", 5000)])
+                                         ("gcc", 2999)])
 def test_latency_column_loop_equals_the_memory_loop(app, warmup, predictor):
     trace = get_trace(app, 3000, 1)
     oracle, fast = both_loops(trace, ScatteredMemory(), paper_core(8),
                               PREDICTORS[predictor], warmup)
     assert fast == oracle
-    assert oracle[1] == (1 if 0 < warmup < len(trace) else 0)
+    assert oracle[1] == (1 if warmup else 0)
+
+
+@pytest.mark.parametrize("predictor", sorted(PREDICTORS))
+def test_warmup_covering_the_trace_raises(predictor):
+    """Both loops refuse a warm-up that leaves nothing to measure (the
+    trace's length, or more), before either starts: the callback never
+    fires and the predictor stays untrained."""
+    trace = get_trace("vpr", 3000, 1)
+    memory = ScatteredMemory()
+    pcs = trace.columns.pc.tolist()
+    untrained = [PREDICTORS[predictor]().predict(pc) for pc in pcs]
+    for warmup in (len(trace), 5000):
+        for latencies in (None, latency_column(trace, memory)):
+            used = PREDICTORS[predictor]()
+            fired = []
+            core = OutOfOrderCore(paper_core(8), memory, used)
+            with pytest.raises(ValueError, match=f"warmup={warmup} covers "
+                               f"the entire trace \\({len(trace)} "):
+                core.run(trace, warmup=warmup,
+                         on_warmup_end=lambda: fired.append(1),
+                         latencies=latencies)
+            assert fired == []
+            assert [used.predict(pc) for pc in pcs] == untrained
 
 
 @pytest.mark.parametrize("changes", [

@@ -95,8 +95,9 @@ def hierarchies(draw, direct_mapped_level_one=None):
 
     Level 1 is direct-mapped when ``direct_mapped_level_one`` is True, and
     in about half the examples when it is None (the kernel computes such
-    a level in numpy and walks only its misses); its caches otherwise
-    draw any associativity, so the walk from level 1 stays covered.
+    a level in numpy and every other cache in its probe-and-fill loop);
+    its caches otherwise draw any associativity, so the loop over an
+    associative level 1 stays covered.
     """
     if direct_mapped_level_one is None:
         direct_mapped_level_one = draw(st.booleans(),

@@ -1,37 +1,43 @@
 """Differential test: the kernel's record phase against the plain walk.
 
-:func:`repro.kernel.engine.record` computes a direct-mapped level 1 in
-numpy and walks only its misses through the hierarchy, from tier 2.  The
-oracle here is the loop it replaced: a fresh
-:class:`~repro.cache.hierarchy.CacheHierarchy` with the same recording
-listeners, one :meth:`~repro.cache.hierarchy.CacheHierarchy.access` per
-reference, statistics reset after the warm-up prefix and at ``reset_at``.
-Hierarchies have 2-5 tiers and a direct-mapped level 1 (split or unified,
-instruction and data blocks of different sizes, every replacement
-policy); streams stay in a small address range, so sets collide, and
-carry stores.  Every recording column, ``count`` and ``seen`` must be
-equal, and so must every cache's statistics, contents, dirty bits,
-``last_evicted_dirty`` and replacement state.  A malformed reference must
-raise the walk's exception, at the same reference.
+:func:`repro.kernel.engine.record` simulates the hierarchy one cache at a
+time: each cache runs once over the references that missed every closer
+cache on its side (a direct-mapped level 1 in numpy), and the tracked
+caches' place and replace events are sorted into the walk's firing
+order afterwards.  The oracle here is the loop it replaced: a fresh
+:class:`~repro.cache.hierarchy.CacheHierarchy` with recording listeners,
+one :meth:`~repro.cache.hierarchy.CacheHierarchy.access` per reference,
+statistics reset after the warm-up prefix and at ``reset_at``.
+Generated hierarchies have 2-5 tiers (split or unified, instruction and
+data blocks of different sizes, every replacement policy, level 1
+direct-mapped in about half of them); streams stay in a small address
+range, so sets collide, and carry stores.  Real streams (the core's and
+the coverage figures', seeds 1 and 2718) run through a small 5-level
+hierarchy in which every tier evicts and through the paper's.  Every
+recording column, ``count`` and ``seen`` must be equal, and so must
+every cache's statistics, contents, dirty bits, ``last_evicted_dirty``
+and replacement state.  ``record`` never calls ``access``.  A malformed
+reference must raise the walk's exception, at the same reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import islice
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.cache.cache import AccessKind
-from repro.cache.hierarchy import CacheHierarchy
-from repro.kernel.engine import (
-    KINDS,
-    Recording,
-    _listen,
-    record,
-    reference_columns,
-)
+from repro.cache.hierarchy import CacheHierarchy, TierConfig
+from repro.cache.presets import paper_hierarchy_5level
+from repro.cpu.core import core_references
+from repro.kernel.engine import KINDS, Recording, record, reference_columns
+from repro.workloads import get_trace
+from tests.conftest import small_hierarchy_config
 from tests.kernel.test_engine_fuzz import hierarchies
 
 RECORD = settings(max_examples=200, deadline=None,
@@ -53,8 +59,32 @@ MALFORMED = ((-1, AccessKind.LOAD), (1 << 32, AccessKind.STORE),
              (-1, "store"), (64, AccessKind.LOAD, 0), (64,), 64)
 
 
+def _listen(recording: Recording, current) -> None:
+    """Register the recording listeners on every tracked cache.
+
+    ``current[0]`` is the recorded ordinal of the in-flight access (-1
+    during the warm-up).
+    """
+    ordinals = recording.event_ordinals
+    codes = recording.event_codes
+    blocks = recording.event_blocks
+
+    def _recording_listener(code: int):
+        def listener(_cache, block: int) -> None:
+            ordinals.append(current[0])
+            codes.append(code)
+            blocks.append(block)
+
+        return listener
+
+    for index, (_tier, cache) in enumerate(recording.tracked):
+        cache.add_replace_listener(_recording_listener(2 * index))
+        cache.add_place_listener(_recording_listener(2 * index + 1))
+
+
 def walk(stream, hierarchy_config, warmup=0, reset_at=0) -> Recording:
-    """The record loop before level 1 moved to numpy: one access each."""
+    """The record loop before the kernel simulated a cache at a time: one
+    access per reference."""
     hierarchy = CacheHierarchy(hierarchy_config)
     tracked = [(tier, cache) for tier, cache in hierarchy.all_caches()
                if tier >= 2]
@@ -124,13 +154,79 @@ def boundaries(draw, length):
 
 
 @RECORD
-@given(hierarchy=hierarchies(direct_mapped_level_one=True),
-       stream=references, data=st.data())
+@given(hierarchy=hierarchies(), stream=references, data=st.data())
 def test_record_equals_the_walk(hierarchy, stream, data):
     warmup, reset_at = data.draw(boundaries(len(stream)), label="bounds")
     expected = walk(stream, hierarchy, warmup, reset_at)
     recorded = record(*reference_columns(stream), hierarchy, warmup,
                       reset_at)
+    assert recording_state(recorded) == recording_state(expected)
+
+
+#: Real streams: ``(hierarchy, apps, instructions)``.  Every tier of the
+#: small 5-level hierarchy evicts (after the warm-up, seed-1 mcf's core
+#: stream evicts 387, 264, 163 and 69 blocks from ``ul2`` to ``ul5``); in
+#: the paper's, the same app fires 2,144, 696 and 114 replacements in
+#: ``dl2``, ``ul3`` and ``ul4``, warm-up included.
+REAL = {"small": (small_hierarchy_config(5), ("mcf", "twolf", "art"), 3000),
+        "paper": (paper_hierarchy_5level(), ("mcf", "art"), 20000)}
+
+
+@pytest.mark.parametrize("seed", [1, 2718])
+@pytest.mark.parametrize("stream", ["core", "memory"])
+@pytest.mark.parametrize("name, app", [(name, app) for name in REAL
+                                       for app in REAL[name][1]])
+def test_record_equals_the_walk_on_real_streams(name, app, stream, seed):
+    """The core's stream with the 40% boundary as ``reset_at``, and the
+    coverage figures' stream with a 40% warm-up."""
+    hierarchy, _apps, instructions = REAL[name]
+    trace = get_trace(app, instructions, seed)
+    fetch_block = hierarchy.tiers[0].instruction.block_size
+    if stream == "core":
+        addresses, kinds, boundary, _ = core_references(
+            trace, fetch_block, int(instructions * 0.4))
+        pairs = list(zip(addresses.tolist(), map(KINDS.__getitem__,
+                                                  kinds.tolist())))
+        expected = walk(pairs, hierarchy, reset_at=boundary)
+        recorded = record(addresses, kinds, hierarchy, reset_at=boundary)
+    else:
+        pairs = list(trace.memory_references(fetch_block))
+        warmup = int(len(pairs) * 0.4)
+        expected = walk(pairs, hierarchy, warmup)
+        recorded = record(*reference_columns(pairs), hierarchy, warmup)
+    assert recording_state(recorded) == recording_state(expected)
+    assert any(cache.stats.evictions
+               for _tier, cache in recorded.tracked)
+
+
+def with_level_one_ways(hierarchy, ways):
+    """``hierarchy`` with its split level 1 made ``ways``-way."""
+    level_one = hierarchy.tiers[0]
+    return dataclasses.replace(hierarchy, tiers=(TierConfig.make_split(
+        dataclasses.replace(level_one.instruction, associativity=ways),
+        dataclasses.replace(level_one.data, associativity=ways)),
+    ) + hierarchy.tiers[1:])
+
+
+@pytest.mark.parametrize("ways", [1, 2])
+def test_record_never_walks_the_hierarchy(monkeypatch, ways):
+    """No :meth:`CacheHierarchy.access` call, with a direct-mapped or an
+    associative level 1; the oracle's calls show that the spy sees them."""
+    calls = []
+    real_access = CacheHierarchy.access
+
+    def spy(self, address, kind):
+        calls.append(address)
+        return real_access(self, address, kind)
+
+    monkeypatch.setattr(CacheHierarchy, "access", spy)
+    hierarchy = with_level_one_ways(small_hierarchy_config(4), ways)
+    pairs = list(get_trace("gcc", 3000, 1).memory_references(16))
+    warmup = len(pairs) // 4
+    recorded = record(*reference_columns(pairs), hierarchy, warmup)
+    assert calls == []
+    expected = walk(pairs, hierarchy, warmup)
+    assert len(calls) == len(pairs)
     assert recording_state(recorded) == recording_state(expected)
 
 
