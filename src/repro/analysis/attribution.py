@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Tuple
 
 from repro.cache.cache import AccessKind
 from repro.cache.hierarchy import CacheHierarchy
-from repro.core.hybrid import CompositeFilter
+from repro.core.hybrid import components_of
 from repro.core.machine import MostlyNoMachine
 
 
@@ -71,15 +71,10 @@ class AttributionMeter:
         self.totals = AttributionTotals()
 
     def _components_proving(self, cache_name: str, granule: int):
-        filter_ = self.machine.filter_for(cache_name)
-        if isinstance(filter_, CompositeFilter):
-            return [
-                component.technique
-                for component in filter_.identifying_components(granule)
-            ]
-        if filter_.is_definite_miss(granule):
-            return [filter_.technique]
-        return []
+        return [component.technique
+                for component in components_of(
+                    self.machine.filter_for(cache_name))
+                if component.is_definite_miss(granule)]
 
     def observe(self, address: int, kind: AccessKind) -> Tuple[bool, ...]:
         """Query + access one reference, crediting identifications.

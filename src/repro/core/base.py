@@ -291,8 +291,3 @@ class FilterStats:
 
     lookups: int = 0
     miss_answers: int = 0
-
-    @property
-    def miss_answer_rate(self) -> float:
-        """Fraction of lookups answered with a definite miss."""
-        return self.miss_answers / self.lookups if self.lookups else 0.0

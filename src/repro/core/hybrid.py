@@ -7,12 +7,13 @@ combining techniques can only add coverage, never unsoundness.
 
 The paper's HMNM1–HMNM4 recipes (Table 3) mix SMNM+TMNM on cache levels 2–3
 with CMNM+TMNM on levels 4–5 plus a shared RMNM; those recipes live in
-:mod:`repro.core.presets` — this module only provides the combinator.
+:mod:`repro.core.presets` — this module only provides the combinator, and
+:func:`components_of`, the one way code outside it sees a filter's parts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as _np
 
@@ -65,6 +66,9 @@ class CompositeFilter(MissFilter):
             return self._label
         return "+".join(c.name for c in self.components)
 
-    def identifying_components(self, granule_addr: int) -> Sequence[MissFilter]:
-        """Components that prove this miss (for attribution/ablation)."""
-        return [c for c in self.components if c.is_definite_miss(granule_addr)]
+
+def components_of(filter_: MissFilter) -> Tuple[MissFilter, ...]:
+    """A filter as its components: a composite's, or a lone filter itself."""
+    if isinstance(filter_, CompositeFilter):
+        return filter_.components
+    return (filter_,)

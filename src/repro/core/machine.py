@@ -1,10 +1,19 @@
 """The Mostly No Machine: per-cache filters behind one query interface.
 
+A design's filters are built in one place, :func:`build_banks`: one
+*bank* — a (possibly composite) miss filter with its block mapper and
+lookup counters — per (tier, cache, owner) slot, and one RMNM cache per
+owner domain whose lanes cover the domain's banks (Sections 3.1–3.5);
+:func:`bank_storage_bits` counts their state.  Both machines build
+through them.  A :class:`MostlyNoMachine` is the one-domain case: one
+bank every core shares per cache of level 2 and beyond (the MNM never
+predicts level-1 misses).  :class:`repro.multicore.mnm.MulticoreMNM`
+picks its slots per sharing topology.
+
 A :class:`MostlyNoMachine` attaches to a :class:`~repro.cache.hierarchy.
-CacheHierarchy`, builds one (possibly composite) miss filter per cache at
-levels 2 and beyond — the MNM never predicts level-1 misses — and wires the
-filters to the caches' placement/replacement event streams, translating
-each cache's own block granularity to the MNM granule (the L2 block size).
+CacheHierarchy` and wires its banks to the caches' placement/replacement
+event streams, translating each cache's own block granularity to the MNM
+granule (the L2 block size).
 
 Querying the machine *before* an access yields the per-level miss-bit
 vector that the hardware would tag onto the request (Section 2): bit *i*
@@ -16,8 +25,18 @@ the timing/energy/coverage models need.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as _np
 
@@ -25,7 +44,7 @@ from repro.addresses import ADDRESS_BITS, BlockMapper, log2_exact
 from repro.cache.cache import AccessKind, Cache
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.base import FilterStats, MissFilter, NullFilter, Placement
-from repro.core.hybrid import CompositeFilter
+from repro.core.hybrid import CompositeFilter, components_of
 from repro.core.perfect import PerfectFilter
 from repro.core.rmnm import RMNMCache, RMNMLane
 from repro.telemetry import get_registry
@@ -93,14 +112,78 @@ class MNMDesign:
 
 
 @dataclass
-class _TrackedCache:
-    """Bookkeeping for one cache the machine filters."""
+class Bank:
+    """One filter bank: a filter watching one cache for one owner domain."""
 
     tier: int
     cache: Cache
+    #: The owner core; None for a bank every core shares.
+    core: Optional[int]
     filter: MissFilter
     mapper: BlockMapper
     stats: FilterStats
+
+
+#: Where a bank goes: ``(tier, cache, owner core or None)``.
+Slot = Tuple[int, Cache, Optional[int]]
+
+
+def build_banks(
+    design: MNMDesign, slots: Sequence[Slot], granule: int
+) -> Tuple[List[Bank], Dict[Optional[int], RMNMCache]]:
+    """``design``'s banks at ``slots``, in order, and its RMNM caches.
+
+    A perfect design gets one :class:`PerfectFilter` per bank.  Otherwise
+    a bank holds the filters of the design's factories for its tier and,
+    with an RMNM geometry, the next lane of its owner domain's RMNM cache:
+    one cache per owner, with one lane per bank it owns.  No component
+    makes a :class:`NullFilter`, one is the bank's filter by itself, and
+    more are OR-ed in a :class:`CompositeFilter`.
+    """
+    granule_bits = ADDRESS_BITS - log2_exact(granule)
+    rmnms: Dict[Optional[int], RMNMCache] = {}
+    if design.rmnm_geometry is not None and not design.perfect:
+        blocks, assoc = design.rmnm_geometry
+        owned = Counter(owner for _tier, _cache, owner in slots)
+        rmnms = {owner: RMNMCache(blocks, assoc, num_lanes=lanes)
+                 for owner, lanes in owned.items()}
+    next_lane = dict.fromkeys(rmnms, 0)
+    banks: List[Bank] = []
+    for tier, cache, owner in slots:
+        if design.perfect:
+            components: List[MissFilter] = [PerfectFilter()]
+        else:
+            context = FilterBuildContext(
+                level=tier, cache_name=cache.config.name,
+                granule_bits=granule_bits,
+            )
+            components = [factory(context)
+                          for factory in design.factories_for(tier)]
+            if owner in rmnms:
+                components.append(RMNMLane(rmnms[owner], next_lane[owner]))
+                next_lane[owner] += 1
+        if not components:
+            filter_: MissFilter = NullFilter()
+        elif len(components) == 1:
+            filter_ = components[0]
+        else:
+            filter_ = CompositeFilter(components)
+        banks.append(Bank(tier, cache, owner, filter_,
+                          BlockMapper(granule, cache.config.block_size),
+                          FilterStats()))
+    return banks, rmnms
+
+
+def bank_storage_bits(banks: Iterable[Bank],
+                      rmnms: Iterable[RMNMCache]) -> int:
+    """Total filter state of a bank set: each RMNM cache once, and every
+    bank's other components (an RMNM lane is a view of its cache)."""
+    total = sum(rmnm.storage_bits for rmnm in rmnms)
+    for bank in banks:
+        total += sum(component.storage_bits
+                     for component in components_of(bank.filter)
+                     if not isinstance(component, RMNMLane))
+    return total
 
 
 class MostlyNoMachine:
@@ -111,42 +194,20 @@ class MostlyNoMachine:
         self.design = design
         self.granule = hierarchy.config.mnm_granule
         self._granule_shift = log2_exact(self.granule)
-        granule_bits = ADDRESS_BITS - self._granule_shift
 
-        tracked_caches = [
-            (tier, cache) for tier, cache in hierarchy.all_caches() if tier >= 2
-        ]
-        self.rmnm: Optional[RMNMCache] = None
-        if design.rmnm_geometry is not None and not design.perfect and tracked_caches:
-            blocks, assoc = design.rmnm_geometry
-            self.rmnm = RMNMCache(blocks, assoc, num_lanes=len(tracked_caches))
-
-        self._tracked: Dict[str, _TrackedCache] = {}
-        for lane, (tier, cache) in enumerate(tracked_caches):
-            context = FilterBuildContext(
-                level=tier, cache_name=cache.config.name, granule_bits=granule_bits
-            )
-            components: List[MissFilter] = []
-            if design.perfect:
-                components.append(PerfectFilter())
-            else:
-                components.extend(
-                    factory(context) for factory in design.factories_for(tier)
-                )
-                if self.rmnm is not None:
-                    components.append(RMNMLane(self.rmnm, lane))
-            if not components:
-                filter_: MissFilter = NullFilter()
-            elif len(components) == 1:
-                filter_ = components[0]
-            else:
-                filter_ = CompositeFilter(components)
-
-            mapper = BlockMapper(self.granule, cache.config.block_size)
-            entry = _TrackedCache(tier, cache, filter_, mapper, FilterStats())
-            self._tracked[cache.config.name] = entry
-            cache.add_place_listener(self._make_listener(entry, place=True))
-            cache.add_replace_listener(self._make_listener(entry, place=False))
+        banks, rmnms = build_banks(
+            design,
+            [(tier, cache, None) for tier, cache in hierarchy.all_caches()
+             if tier >= 2],
+            self.granule,
+        )
+        self.rmnm: Optional[RMNMCache] = rmnms.get(None)
+        self._tracked: Dict[str, Bank] = {}
+        for bank in banks:
+            self._tracked[bank.cache.config.name] = bank
+            bank.cache.add_place_listener(self._make_listener(bank, place=True))
+            bank.cache.add_replace_listener(
+                self._make_listener(bank, place=False))
 
         # Telemetry: counters are resolved once here so query() pays a
         # single None-check when telemetry is disabled (the default).
@@ -161,9 +222,9 @@ class MostlyNoMachine:
         # Precomputed query route: per access kind, the (bit index, tracked
         # cache) pairs for tiers 2..N — query() is the hottest path in the
         # experiment runner.
-        self._route: Dict[AccessKind, Tuple[Tuple[int, _TrackedCache], ...]] = {}
+        self._route: Dict[AccessKind, Tuple[Tuple[int, Bank], ...]] = {}
         for kind in AccessKind:
-            route: List[Tuple[int, _TrackedCache]] = []
+            route: List[Tuple[int, Bank]] = []
             for tier in range(2, hierarchy.num_tiers + 1):
                 cache = hierarchy.cache_for(tier, kind)
                 route.append((tier - 1, self._tracked[cache.config.name]))
@@ -171,10 +232,10 @@ class MostlyNoMachine:
 
     @staticmethod
     def _make_listener(
-        entry: _TrackedCache, place: bool
+        bank: Bank, place: bool
     ) -> Callable[[Cache, int], None]:
-        mapper = entry.mapper
-        target = entry.filter.on_place if place else entry.filter.on_replace
+        mapper = bank.mapper
+        target = bank.filter.on_place if place else bank.filter.on_replace
 
         def listener(_cache: Cache, cache_block: int) -> None:
             for granule_addr in mapper.to_granules(cache_block):
@@ -230,7 +291,7 @@ class MostlyNoMachine:
         # Group route entries by identity: unified tiers serve every kind
         # and are queried once over the whole batch; split tiers are
         # queried over the rows of the kinds they serve.
-        groups: Dict[int, Tuple[int, _TrackedCache, List[AccessKind]]] = {}
+        groups: Dict[int, Tuple[int, Bank, List[AccessKind]]] = {}
         for kind in present:
             for bit_index, entry in self._route[kind]:
                 group = groups.get(id(entry))
@@ -283,23 +344,15 @@ class MostlyNoMachine:
         """Names of the caches this machine filters (tiers 2+)."""
         return tuple(self._tracked)
 
+    def banks(self) -> Tuple[Bank, ...]:
+        """One shared bank per tracked cache, closest tier first."""
+        return tuple(self._tracked.values())
+
     @property
     def storage_bits(self) -> int:
         """Total filter state, counting the shared RMNM cache exactly once."""
-        total = self.rmnm.storage_bits if self.rmnm is not None else 0
-        for entry in self._tracked.values():
-            filter_ = entry.filter
-            components = (
-                filter_.components
-                if isinstance(filter_, CompositeFilter)
-                else (filter_,)
-            )
-            total += sum(
-                component.storage_bits
-                for component in components
-                if not isinstance(component, RMNMLane)
-            )
-        return total
+        rmnms = () if self.rmnm is None else (self.rmnm,)
+        return bank_storage_bits(self._tracked.values(), rmnms)
 
     @property
     def placement(self) -> Placement:

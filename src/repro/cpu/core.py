@@ -269,6 +269,7 @@ class OutOfOrderCore:
         warmup: int = 0,
         on_warmup_end: Optional[callable] = None,
         latencies: Optional[Sequence[int]] = None,
+        references: Optional[CoreReferences] = None,
     ) -> CoreResult:
         """Execute a trace; return timing for the post-warmup portion.
 
@@ -287,13 +288,16 @@ class OutOfOrderCore:
         Two loops, one result.  Without ``latencies`` the loop asks the
         memory system for each fetch, load and store as it reaches it:
         ``run_core_trace(engine="interp")`` takes this loop, the oracle.
-        ``run_core_trace(engine="fast")`` passes ``latencies``, the
-        latency of every access of :func:`core_references` in its order,
-        and the memory system is never accessed: the fetch stalls, load
-        latencies and branch mispredicts (one pass of the predictor over
-        the trace's branches) become per-instruction columns first, and
-        the loop times the dataflow recurrences alone.  A column of any
-        other length than that stream raises :class:`RuntimeError`.
+        ``run_core_trace(engine="fast")`` passes ``references``, the
+        trace's stream as :func:`core_references` derives it for the
+        memory's fetch block, and ``latencies``, the latency of each of
+        its accesses in order.  The memory system is never accessed: the
+        fetch stalls, load latencies and branch mispredicts (one pass of
+        the predictor over the trace's branches) become per-instruction
+        columns first, and the loop times the dataflow recurrences alone.
+        The two come together (one without the other raises
+        :class:`ValueError`), and a column, stream and trace that disagree
+        in length raise :class:`RuntimeError`.
         """
         if warmup < 0:
             raise ValueError(f"warmup must be >= 0, got {warmup}")
@@ -302,9 +306,13 @@ class OutOfOrderCore:
             raise ValueError(
                 f"core run measured nothing: warmup={warmup} covers the "
                 f"entire trace ({len(columns.op)} instructions)")
+        if (latencies is None) != (references is None):
+            raise ValueError(
+                "latencies and references come together: pass both or "
+                "neither")
         if latencies is not None:
-            return self._run_over_latencies(columns, latencies, warmup,
-                                            on_warmup_end)
+            return self._run_over_latencies(columns, references, latencies,
+                                            warmup, on_warmup_end)
         config = self.config
         memory = self.memory
         access = memory.access
@@ -477,6 +485,7 @@ class OutOfOrderCore:
     def _run_over_latencies(
         self,
         columns: InstructionColumns,
+        references: CoreReferences,
         latencies: Sequence[int],
         warmup: int,
         on_warmup_end: Optional[callable],
@@ -493,12 +502,14 @@ class OutOfOrderCore:
         memory = self.memory
         ops = columns.op
         count = len(ops)
-        derived = derive_references(columns, memory.fetch_block_size)
         latencies = np.asarray(latencies, np.int64)
-        if len(latencies) != len(derived.kinds):
+        if (len(latencies) != len(references.kinds)
+                or len(references.fetches) != count):
             raise RuntimeError(
-                f"{len(latencies)} latencies for the {len(derived.kinds)} "
-                f"accesses of the derived reference stream")
+                f"{len(latencies)} latencies for the {len(references.kinds)} "
+                f"accesses of a derived reference stream of "
+                f"{len(references.fetches)} instructions, over a trace of "
+                f"{count}")
         l1i_latency = memory.l1_instruction_latency
         is_load = ops == _LOAD_OP
         is_memory = is_load | (ops == _STORE_OP)
@@ -509,10 +520,10 @@ class OutOfOrderCore:
         # branch.
         latency_column = np.array(
             [config.latencies.get(op, 0) for op in OP_CLASSES], np.int64)[ops]
-        latency_column[is_load] = latencies[derived.kinds == _LOAD]
+        latency_column[is_load] = latencies[references.kinds == _LOAD]
         stall_column = np.zeros(count, np.int64)
-        stall_column[derived.fetches] = np.maximum(
-            latencies[derived.kinds == _FETCH] - l1i_latency, 0)
+        stall_column[references.fetches] = np.maximum(
+            latencies[references.kinds == _FETCH] - l1i_latency, 0)
         holds_mshr = (is_load & (latency_column > l1i_latency)
                       & (config.mshr_count > 0))
         mispredicted = np.zeros(count, np.bool_)
@@ -625,5 +636,5 @@ class OutOfOrderCore:
             stores=int(measured[_STORE_OP]),
             branches=int(measured[_BRANCH_OP]),
             mispredicts=int(mispredicted[warmup:].sum()),
-            fetch_lines=int(derived.fetches[warmup:].sum()),
+            fetch_lines=int(references.fetches[warmup:].sum()),
         )

@@ -93,22 +93,16 @@ from repro.core.base import (
     PLACE,
     REPLACE,
     SCALAR_SEGMENT,
-    FilterStats,
     MissFilter,
 )
-from repro.core.hybrid import CompositeFilter
-from repro.core.machine import MNMDesign, MostlyNoMachine
+from repro.core.hybrid import CompositeFilter, components_of
+from repro.core.machine import Bank, MNMDesign, MostlyNoMachine
 from repro.core.rmnm import RMNMLane
 from repro.multicore.config import MulticoreConfig
 from repro.multicore.hierarchy import MulticoreHierarchy
 from repro.multicore.mnm import MulticoreMNM
 from repro.multicore.schedule import interleave
 from repro.power.energy import EnergyAccountant, HierarchyEnergyModel
-from repro.power.mnm_power import (
-    machine_level_query_energies_nj,
-    machine_query_energy_nj,
-    machine_update_energy_nj,
-)
 from repro.telemetry import get_registry
 
 #: Access kinds by the integer code the recording stores.
@@ -556,11 +550,6 @@ def record_multicore(
 # Phase B: replay
 # ---------------------------------------------------------------------------
 
-#: One filter bank as :meth:`Replay.bank_bits` takes it: ``(tier, tracked
-#: cache index, owner core, filter, stats)``; owner None is every core.
-Bank = Tuple[int, int, Optional[int], MissFilter, FilterStats]
-
-
 class Replay:
     """Per-design miss bits from a recording's event stream.
 
@@ -590,6 +579,9 @@ class Replay:
         granule = hierarchy.config.mnm_granule
         self.fanouts = [cache.config.block_size // granule
                         for _tier, cache in tracked]
+        #: Each tracked cache's index in the recording's ``tracked``.
+        self.index_of = {cache: index
+                         for index, (_tier, cache) in enumerate(tracked)}
         addresses = _np.frombuffer(recording.addresses,
                                    dtype=recording.addresses.typecode)
         self.granules = (addresses >> log2_exact(granule)).astype(_np.int64)
@@ -838,40 +830,38 @@ class Replay:
         """
         # Each owner domain's RMNM lanes, by tracked cache (-1: no lane).
         lanes: Dict[Optional[int], List[int]] = {}
-        for _tier, cache_index, owner, filter_, _stats in banks:
-            for component in _components(filter_):
+        for bank in banks:
+            for component in components_of(bank.filter):
                 if isinstance(component, RMNMLane):
-                    lanes.setdefault(owner, [-1] * len(self.fanouts))[
-                        cache_index] = component.lane
+                    lanes.setdefault(bank.core, [-1] * len(self.fanouts))[
+                        self.index_of[bank.cache]] = component.lane
         bits_matrix = _np.zeros((self.n, self.num_tiers), dtype=bool)
-        for tier, cache_index, owner, filter_, stats in banks:
-            lone = not isinstance(filter_, CompositeFilter)
+        for bank in banks:
+            cache_index, owner = self.index_of[bank.cache], bank.core
+            lone = not isinstance(bank.filter, CompositeFilter)
             answers: Optional["_np.ndarray"] = None
-            for component in _components(filter_):
+            for component in components_of(bank.filter):
                 part = self._component(cache_index, owner, component, lone,
                                        lanes.get(owner))
                 answers = part if answers is None else answers | part
-            stats.lookups += answers.shape[0]
-            stats.miss_answers += int(answers.sum())
+            bank.stats.lookups += answers.shape[0]
+            bank.stats.miss_answers += int(answers.sum())
             rows, _granules = self.rows(cache_index, owner)
             if rows is None:
-                bits_matrix[:, tier - 1] = answers
+                bits_matrix[:, bank.tier - 1] = answers
             else:
-                bits_matrix[rows, tier - 1] = answers
+                bits_matrix[rows, bank.tier - 1] = answers
         return bits_matrix
 
     def bits(self, machine: MostlyNoMachine) -> "_np.ndarray":
         """``(count, num_tiers)`` miss bits of ``machine`` per reference.
 
-        A single-core machine has one bank per tracked cache, for every
-        core.  The registry's ``mnm.queries`` / ``mnm.miss_answers``
-        advance as the interpreter's queries would advance them.
+        A single-core machine is the one-shared-bank case: one bank per
+        tracked cache, for every core.  The registry's ``mnm.queries`` /
+        ``mnm.miss_answers`` advance as the interpreter's queries would
+        advance them.
         """
-        bits_matrix = self.bank_bits([
-            (tier, cache_index, None, machine.filter_for(cache.config.name),
-             machine.stats_for(cache.config.name))
-            for cache_index, (tier, cache) in enumerate(self.recording.tracked)
-        ])
+        bits_matrix = self.bank_bits(machine.banks())
         registry = get_registry()
         if registry.enabled:
             registry.counter("mnm.queries").inc(self.n)
@@ -893,13 +883,6 @@ def _changes_fresh_rmnm(actions: "_np.ndarray", granules: "_np.ndarray"
         keep |= ((replaced[slot] == granules)
                  & (_np.arange(granules.shape[0]) > replaces[first][slot]))
     return keep
-
-
-def _components(filter_: MissFilter) -> Tuple[MissFilter, ...]:
-    """A bank's filter as its components (a lone filter is its own)."""
-    if isinstance(filter_, CompositeFilter):
-        return filter_.components
-    return (filter_,)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,6 +1106,7 @@ def run_reference_pass_fast(
         DesignPassResult,
         ReferencePassResult,
         _AccessTelemetry,
+        design_meters,
     )
 
     registry = get_registry()
@@ -1162,40 +1146,27 @@ def run_reference_pass_fast(
     replay = Replay(recording)
     results: Dict[str, DesignPassResult] = {}
     for design in designs:
-        machine = MostlyNoMachine(recording.hierarchy, design)
-        meter = CoverageMeter(num_tiers)
-        accountant = EnergyAccountant(
-            energy_model,
-            placement=design.placement,
-            mnm_query_nj=machine_query_energy_nj(machine),
-            mnm_update_nj=machine_update_energy_nj(machine),
-            mnm_level_query_nj=machine_level_query_energies_nj(machine),
-        )
-        design_timing = AccessTimingModel(
-            hierarchy_config,
-            placement=design.placement,
-            mnm_delay=design.delay,
-            mnm_free=design.perfect,
-        )
-        class_ids = accounting.class_ids(replay.bits(machine))
+        meters = design_meters(recording.hierarchy, design, energy_model)
+        class_ids = accounting.class_ids(replay.bits(meters.machine))
         counts, present = count_classes(class_ids,
                                         accounting.num_classes(True))
-        latency_of = accounting.table(present, True, design_timing.latency)
+        latency_of = accounting.table(present, True, meters.timing.latency)
         telemetry = (_AccessTelemetry(registry, design.name, num_tiers,
                                       with_access_instruments=False)
                      if registry.enabled else None)
-        accounting.fold(counts, present, True, latency_of, meter, telemetry)
+        accounting.fold(counts, present, True, latency_of, meters.coverage,
+                        telemetry)
         access_time = int(counts @ latency_of)
-        accounting.energy(accountant, class_ids, present, True)
+        accounting.energy(meters.accountant, class_ids, present, True)
         if telemetry is not None:
             telemetry.flush()
 
         results[design.name] = DesignPassResult(
             design_name=design.name,
-            coverage=meter,
-            energy=accountant.totals,
+            coverage=meters.coverage,
+            energy=meters.accountant.totals,
             access_time=access_time,
-            storage_bits=machine.storage_bits,
+            storage_bits=meters.machine.storage_bits,
         )
 
     cache_stats = {
@@ -1249,8 +1220,6 @@ def run_multicore_pass_fast(
             f"stream ({recording.seen} references)"
         )
     hierarchy = recording.hierarchy
-    index_of = {cache: index
-                for index, (_tier, cache) in enumerate(recording.tracked)}
     accounting = Accounting(recording)
     size = accounting.num_classes(True)
     replay = Replay(recording)
@@ -1264,10 +1233,9 @@ def run_multicore_pass_fast(
     results: Dict[str, MulticoreDesignResult] = {}
     for design in designs:
         mnm = MulticoreMNM(hierarchy, design, mc.mnm_sharing)
-        banks = [(bank.tier, index_of[bank.cache], bank.core, bank.filter,
-                  bank.stats) for bank in mnm.banks()]
-        private = {cache_index for _tier, cache_index, owner, _f, _s in banks
-                   if owner is not None}
+        banks = mnm.banks()
+        private = {replay.index_of[bank.cache] for bank in banks
+                   if bank.core is not None}
         meter = CoverageMeter(hierarchy.num_tiers)
         counts, present = count_classes(
             accounting.class_ids(replay.bank_bits(banks)), size)

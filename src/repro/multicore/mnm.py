@@ -25,34 +25,29 @@ counters never undershoot the true resident count, flip-flops only get
 set, RMNM absence proofs are dropped — so a definite-miss answer still
 implies true absence.  The cost is coverage, which is exactly the
 private-vs-shared trade the contention figures measure.
+
+A topology is only a choice of bank slots, one per (shared cache, owner
+core or shared).  The banks and their RMNM caches, one per owner domain,
+come from the single-core machine's builder,
+:func:`repro.core.machine.build_banks`, so a one-core ``shared`` machine
+holds exactly a :class:`~repro.core.machine.MostlyNoMachine`'s banks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.addresses import ADDRESS_BITS, BlockMapper, log2_exact
+from repro.addresses import log2_exact
 from repro.cache.cache import AccessKind, Cache
-from repro.core.base import FilterStats, MissFilter, NullFilter
-from repro.core.hybrid import CompositeFilter
-from repro.core.machine import FilterBuildContext, MissBits, MNMDesign
-from repro.core.perfect import PerfectFilter
-from repro.core.rmnm import RMNMCache, RMNMLane
+from repro.core.machine import (
+    Bank,
+    MissBits,
+    MNMDesign,
+    bank_storage_bits,
+    build_banks,
+)
 from repro.multicore.config import SHARINGS
 from repro.multicore.hierarchy import MulticoreHierarchy
-
-
-@dataclass
-class _Bank:
-    """One filter bank: a filter watching one shared cache for one domain."""
-
-    tier: int
-    cache: Cache
-    core: Optional[int]  # None = shared bank (all cores)
-    filter: MissFilter
-    mapper: BlockMapper
-    stats: FilterStats
 
 
 class MulticoreMNM:
@@ -73,82 +68,37 @@ class MulticoreMNM:
         self.sharing = sharing
         self.granule = hierarchy.config.mnm_granule
         self._granule_shift = log2_exact(self.granule)
-        granule_bits = ADDRESS_BITS - self._granule_shift
         #: Granule-level downgrade hints delivered to private banks by
         #: other cores' traffic (a measure of contention pressure on the
         #: filters; always 0 for the fully shared topology).
         self.cross_core_invalidations = 0
 
-        tracked = list(hierarchy.shared_caches())
-        # Bank slots: (tier, cache, owner); owner None = shared domain.
-        slots: List[Tuple[int, Cache, Optional[int]]] = []
-        for tier, cache in tracked:
-            if self._private_at(tier):
-                slots.extend(
-                    (tier, cache, core) for core in range(hierarchy.cores)
-                )
-            else:
-                slots.append((tier, cache, None))
+        # One slot per (shared cache, owner); owner None = shared domain.
+        # Each owner domain gets its own RMNM cache, with one lane per bank
+        # it owns (the single-core machine's rule, applied per domain).
+        self._banks, self._rmnms = build_banks(design, [
+            (tier, cache, owner)
+            for tier, cache in hierarchy.shared_caches()
+            for owner in (range(hierarchy.cores) if self._private_at(tier)
+                          else (None,))
+        ], self.granule)
 
-        # One RMNM cache per owner domain, with one lane per bank it owns
-        # (the shared machine's "one lane per tracked cache" rule, applied
-        # within each domain).
-        self._rmnms: Dict[Optional[int], RMNMCache] = {}
-        lane_counts: Dict[Optional[int], int] = {}
-        if design.rmnm_geometry is not None and not design.perfect:
-            blocks, assoc = design.rmnm_geometry
-            owned: Dict[Optional[int], int] = {}
-            for _tier, _cache, owner in slots:
-                owned[owner] = owned.get(owner, 0) + 1
-            for owner, lanes in owned.items():
-                self._rmnms[owner] = RMNMCache(blocks, assoc, num_lanes=lanes)
-
-        self._banks: List[_Bank] = []
-        self._by_cache: Dict[str, List[_Bank]] = {}
-        by_key: Dict[Tuple[str, Optional[int]], _Bank] = {}
-        for tier, cache, owner in slots:
-            context = FilterBuildContext(
-                level=tier, cache_name=cache.config.name,
-                granule_bits=granule_bits,
-            )
-            components: List[MissFilter] = []
-            if design.perfect:
-                components.append(PerfectFilter())
-            else:
-                components.extend(
-                    factory(context) for factory in design.factories_for(tier)
-                )
-                rmnm = self._rmnms.get(owner)
-                if rmnm is not None:
-                    lane = lane_counts.get(owner, 0)
-                    lane_counts[owner] = lane + 1
-                    components.append(RMNMLane(rmnm, lane))
-            if not components:
-                filter_: MissFilter = NullFilter()
-            elif len(components) == 1:
-                filter_ = components[0]
-            else:
-                filter_ = CompositeFilter(components)
-            bank = _Bank(
-                tier=tier, cache=cache, core=owner, filter=filter_,
-                mapper=BlockMapper(self.granule, cache.config.block_size),
-                stats=FilterStats(),
-            )
-            self._banks.append(bank)
-            self._by_cache.setdefault(cache.config.name, []).append(bank)
-            by_key[(cache.config.name, owner)] = bank
-
-        for name, banks in self._by_cache.items():
+        by_cache: Dict[str, List[Bank]] = {}
+        for bank in self._banks:
+            by_cache.setdefault(bank.cache.config.name, []).append(bank)
+        for banks in by_cache.values():
             cache = banks[0].cache
             cache.add_place_listener(self._make_listener(banks, place=True))
             cache.add_replace_listener(self._make_listener(banks, place=False))
 
         # Per-(core, kind) query routes: (bit index, bank) pairs for
         # tiers 2..N, resolved once — query() runs per reference.
-        self._route: Dict[Tuple[int, AccessKind], Tuple[Tuple[int, _Bank], ...]] = {}
+        by_key = {(bank.cache.config.name, bank.core): bank
+                  for bank in self._banks}
+        self._route: Dict[Tuple[int, AccessKind], Tuple[Tuple[int, Bank], ...]] = {}
         for core in range(hierarchy.cores):
             for kind in AccessKind:
-                route: List[Tuple[int, _Bank]] = []
+                route: List[Tuple[int, Bank]] = []
                 for tier in range(2, hierarchy.num_tiers + 1):
                     cache = hierarchy.shared_cache_for(tier, kind)
                     owner = core if self._private_at(tier) else None
@@ -164,7 +114,7 @@ class MulticoreMNM:
         return False
 
     def _make_listener(
-        self, banks: Sequence[_Bank], place: bool
+        self, banks: Sequence[Bank], place: bool
     ) -> Callable[[Cache, int], None]:
         hierarchy = self.hierarchy
 
@@ -208,16 +158,10 @@ class MulticoreMNM:
 
     # ------------------------------------------------------------ inspection
 
-    def banks(self) -> Tuple[_Bank, ...]:
-        """Every bank (tests iterate these to cross-check soundness)."""
+    def banks(self) -> Tuple[Bank, ...]:
+        """Every bank, in slot order (tests iterate these to cross-check
+        soundness; the kernel replays them)."""
         return tuple(self._banks)
-
-    def bank_for(self, cache_name: str, core: Optional[int]) -> _Bank:
-        """The bank watching ``cache_name`` for ``core`` (None = shared)."""
-        for bank in self._by_cache[cache_name]:
-            if bank.core == core:
-                return bank
-        raise LookupError(f"no bank for ({cache_name!r}, core={core})")
 
     @property
     def storage_bits(self) -> int:
@@ -227,20 +171,7 @@ class MulticoreMNM:
         that — replication is the hardware cost the sharing axis trades
         against coverage.
         """
-        total = sum(rmnm.storage_bits for rmnm in self._rmnms.values())
-        for bank in self._banks:
-            filter_ = bank.filter
-            components = (
-                filter_.components
-                if isinstance(filter_, CompositeFilter)
-                else (filter_,)
-            )
-            total += sum(
-                component.storage_bits
-                for component in components
-                if not isinstance(component, RMNMLane)
-            )
-        return total
+        return bank_storage_bits(self._banks, self._rmnms.values())
 
     @property
     def name(self) -> str:
@@ -268,7 +199,5 @@ def multicore_storage_bits(hierarchy_config, design, mc) -> int:
     the same way :func:`repro.power.budget.design_storage_bits` prunes
     single-core ones (which this equals when ``mc`` is one shared core).
     """
-    from repro.multicore.hierarchy import MulticoreHierarchy
-
     hierarchy = MulticoreHierarchy(hierarchy_config, mc)
     return MulticoreMNM(hierarchy, design, mc.mnm_sharing).storage_bits

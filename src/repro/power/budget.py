@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
-from repro.core.hybrid import CompositeFilter
+from repro.core.hybrid import components_of
 from repro.core.machine import MNMDesign, MostlyNoMachine
 from repro.core.smnm import SMNM
 from repro.power.cacti import cache_read_energy_nj
@@ -44,18 +44,10 @@ class DesignBudget:
 
 
 def _logic_gates(machine: MostlyNoMachine) -> int:
-    total = 0
-    for name in machine.tracked_cache_names():
-        filter_ = machine.filter_for(name)
-        components = (
-            filter_.components
-            if isinstance(filter_, CompositeFilter)
-            else (filter_,)
-        )
-        for component in components:
-            if isinstance(component, SMNM):
-                total += component.logic_area_gates
-    return total
+    return sum(component.logic_area_gates
+               for bank in machine.banks()
+               for component in components_of(bank.filter)
+               if isinstance(component, SMNM))
 
 
 def design_storage_bits(

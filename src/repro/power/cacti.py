@@ -22,7 +22,6 @@ a 4 KB direct-mapped cache costs ~0.35 nJ per read and a 2 MB 8-way cache
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.addresses import ADDRESS_BITS, log2_exact
 from repro.cache.cache import CacheConfig
@@ -112,12 +111,3 @@ def cache_access_time_ns(config: CacheConfig) -> float:
     size_term = 0.3 * math.sqrt(config.size_bytes) / 32.0
     assoc_term = 0.15 * math.log2(config.associativity + 1)
     return 0.5 + size_term + assoc_term
-
-
-@dataclass(frozen=True)
-class StructureEnergy:
-    """Per-access energy of one MNM component, nJ."""
-
-    name: str
-    lookup_nj: float
-    update_nj: float

@@ -61,8 +61,8 @@ def machine_query_energy_nj(machine: MostlyNoMachine) -> float:
     if machine.design.perfect:
         return 0.0
     total = 0.0
-    for cache_name in machine.tracked_cache_names():
-        total += component_lookup_nj(machine.filter_for(cache_name))
+    for bank in machine.banks():
+        total += component_lookup_nj(bank.filter)
     if machine.rmnm is not None:
         total += _rmnm_lookup_nj(machine)
     return total
@@ -96,17 +96,12 @@ def machine_level_query_energies_nj(machine: MostlyNoMachine) -> tuple:
     energies = [0.0] * num_tiers
     if machine.design.perfect:
         return tuple(energies)
-    names = machine.tracked_cache_names()
+    banks = machine.banks()
     rmnm_share = 0.0
-    if machine.rmnm is not None and names:
+    if machine.rmnm is not None and banks:
         rmnm_share = _rmnm_lookup_nj(machine) / (num_tiers - 1 or 1)
-    for name in names:
-        for tier, cache in machine.hierarchy.all_caches():
-            if cache.config.name == name:
-                energies[tier - 1] += component_lookup_nj(
-                    machine.filter_for(name)
-                )
-                break
+    for bank in banks:
+        energies[bank.tier - 1] += component_lookup_nj(bank.filter)
     for tier in range(2, num_tiers + 1):
         energies[tier - 1] += rmnm_share
     return tuple(energies)
@@ -121,10 +116,10 @@ def machine_update_energy_nj(machine: MostlyNoMachine) -> float:
     """
     if machine.design.perfect:
         return 0.0
-    names = machine.tracked_cache_names()
-    if not names:
+    banks = machine.banks()
+    if not banks:
         return 0.0
-    per_level = [component_lookup_nj(machine.filter_for(name)) for name in names]
+    per_level = [component_lookup_nj(bank.filter) for bank in banks]
     average = sum(per_level) / len(per_level)
     rmnm = _rmnm_lookup_nj(machine) if machine.rmnm is not None else 0.0
     return (average + rmnm) * WRITE_FACTOR

@@ -16,7 +16,7 @@ Two entry points cover everything the experiments need:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.core.machine import MNMDesign, MostlyNoMachine
 from repro.cpu.branch import BranchPredictor
 from repro.cpu.core import (
     CoreConfig,
+    CoreReferences,
     CoreResult,
     OutOfOrderCore,
     core_references,
@@ -248,37 +249,61 @@ def build_memory(
         if prefetch_degree > 0
         else None
     )
-    mnm: Optional[MostlyNoMachine] = None
-    timing = AccessTimingModel(hierarchy_config)
-    accountant = None
-    coverage = None
-
     if design is not None and _design_is_active(design):
-        mnm = MostlyNoMachine(hierarchy, design)
-        timing = AccessTimingModel(
-            hierarchy_config,
+        meters = design_meters(hierarchy, design,
+                               HierarchyEnergyModel(hierarchy_config))
+        return SimulatedMemory(
+            hierarchy, meters.machine, meters.timing,
+            meters.accountant if with_energy else None,
+            meters.coverage if with_coverage else None,
+            prefetcher=prefetcher,
+        )
+    accountant = (EnergyAccountant(HierarchyEnergyModel(hierarchy_config))
+                  if with_energy else None)
+    return SimulatedMemory(hierarchy, None, AccessTimingModel(hierarchy_config),
+                           accountant, None, prefetcher=prefetcher)
+
+
+class DesignMeters(NamedTuple):
+    """One design's machine and the meters that price its accesses."""
+
+    machine: MostlyNoMachine
+    coverage: CoverageMeter
+    accountant: EnergyAccountant
+    timing: AccessTimingModel
+
+
+def design_meters(
+    hierarchy: CacheHierarchy,
+    design: MNMDesign,
+    energy_model: HierarchyEnergyModel,
+) -> DesignMeters:
+    """``design``'s machine on ``hierarchy`` and its meters.
+
+    The energy accountant prices the machine's query, update and
+    per-level lookup energies at the design's placement; the timing model
+    charges the design's placement and delay (nothing for a perfect
+    design).  Every engine and every simulation kind that prices a design
+    builds it here.
+    """
+    machine = MostlyNoMachine(hierarchy, design)
+    return DesignMeters(
+        machine=machine,
+        coverage=CoverageMeter(hierarchy.num_tiers),
+        accountant=EnergyAccountant(
+            energy_model,
+            placement=design.placement,
+            mnm_query_nj=machine_query_energy_nj(machine),
+            mnm_update_nj=machine_update_energy_nj(machine),
+            mnm_level_query_nj=machine_level_query_energies_nj(machine),
+        ),
+        timing=AccessTimingModel(
+            hierarchy.config,
             placement=design.placement,
             mnm_delay=design.delay,
             mnm_free=design.perfect,
-        )
-        if with_coverage:
-            coverage = CoverageMeter(hierarchy.num_tiers)
-
-    if with_energy:
-        model = HierarchyEnergyModel(hierarchy_config)
-        if mnm is not None:
-            accountant = EnergyAccountant(
-                model,
-                placement=design.placement,
-                mnm_query_nj=machine_query_energy_nj(mnm),
-                mnm_update_nj=machine_update_energy_nj(mnm),
-                mnm_level_query_nj=machine_level_query_energies_nj(mnm),
-            )
-        else:
-            accountant = EnergyAccountant(model)
-
-    return SimulatedMemory(hierarchy, mnm, timing, accountant, coverage,
-                           prefetcher=prefetcher)
+        ),
+    )
 
 
 def _design_is_active(design: MNMDesign) -> bool:
@@ -363,8 +388,9 @@ def run_core_trace(
     access's latency, energy and coverage depend only on (trace,
     hierarchy, design): the kernel records, replays and accounts the
     core's reference stream in batch (:func:`_kernel_memory`), and the
-    core's latency-column loop then times the trace with each access's
-    latency read by position.  Both return identical results.
+    core's latency-column loop then times the trace over that same
+    stream, with each access's latency read by position.  Both return
+    identical results.
     """
     _check_engine(engine)
     _check_warmup(warmup)
@@ -376,10 +402,11 @@ def run_core_trace(
     if core_config is None:
         core_config = paper_core(8)
     if _use_kernel(engine):
-        memory, latencies = _kernel_memory(trace, hierarchy_config, design,
-                                           warmup)
+        memory, references, latencies = _kernel_memory(
+            trace, hierarchy_config, design, warmup)
         core = OutOfOrderCore(core_config, memory, predictor)
-        result = core.run(trace, warmup=warmup, latencies=latencies)
+        result = core.run(trace, warmup=warmup, latencies=latencies,
+                          references=references)
     else:
         memory = build_memory(hierarchy_config, design)
         core = OutOfOrderCore(core_config, memory, predictor)
@@ -410,7 +437,7 @@ def _kernel_memory(
     hierarchy_config: HierarchyConfig,
     design: Optional[MNMDesign],
     warmup: int,
-) -> Tuple[SimulatedMemory, np.ndarray]:
+) -> Tuple[SimulatedMemory, CoreReferences, np.ndarray]:
     """A full-system run's memory side, computed by the kernel in batch.
 
     Records the core's reference stream, then wires the design's machine,
@@ -421,8 +448,9 @@ def _kernel_memory(
     Queries start at reference 0, because warm-up latencies steer the
     core's timing; coverage, energy, telemetry and cache statistics count
     from the warm-up boundary, the first access of instruction
-    ``warmup``.  Returns the filled-in memory and the latency of every
-    access, in :func:`~repro.cpu.core.core_references` order.
+    ``warmup``.  Returns the filled-in memory, the core's reference
+    stream (:func:`~repro.cpu.core.core_references`) and the latency of
+    each of its accesses, in order.
     """
     from repro.kernel.engine import (
         Accounting,
@@ -433,9 +461,10 @@ def _kernel_memory(
 
     level_one = hierarchy_config.tiers[0]
     fetch_block = (level_one.unified or level_one.instruction).block_size
-    addresses, kinds, boundary, _ = core_references(trace, fetch_block,
-                                                    warmup)
-    recording = record(addresses, kinds, hierarchy_config, reset_at=boundary)
+    references = core_references(trace, fetch_block, warmup)
+    boundary = references.boundary
+    recording = record(references.addresses, references.kinds,
+                       hierarchy_config, reset_at=boundary)
     memory = build_memory(hierarchy_config, design,
                           hierarchy=recording.hierarchy)
     with_bits = memory.mnm is not None
@@ -450,7 +479,7 @@ def _kernel_memory(
     accounting.fold(counts, present, with_bits, latency_of, memory.coverage,
                     memory._telemetry)
     accounting.energy(memory.accountant, measured, present, with_bits)
-    return memory, latency_of[class_ids]
+    return memory, references, latency_of[class_ids]
 
 
 # ---------------------------------------------------------------------------
@@ -546,25 +575,8 @@ def run_reference_pass(
     baseline_access_time = 0
     baseline_miss_time = 0
 
-    entries: List[Tuple[MNMDesign, MostlyNoMachine, CoverageMeter,
-                        EnergyAccountant, AccessTimingModel]] = []
-    for design in designs:
-        machine = MostlyNoMachine(hierarchy, design)
-        meter = CoverageMeter(hierarchy.num_tiers)
-        accountant = EnergyAccountant(
-            energy_model,
-            placement=design.placement,
-            mnm_query_nj=machine_query_energy_nj(machine),
-            mnm_update_nj=machine_update_energy_nj(machine),
-            mnm_level_query_nj=machine_level_query_energies_nj(machine),
-        )
-        design_timing = AccessTimingModel(
-            hierarchy_config,
-            placement=design.placement,
-            mnm_delay=design.delay,
-            mnm_free=design.perfect,
-        )
-        entries.append((design, machine, meter, accountant, design_timing))
+    entries = [design_meters(hierarchy, design, energy_model)
+               for design in designs]
 
     # Telemetry instruments (None when disabled — the common case — so
     # the loop below pays one truthiness check per reference).
@@ -573,9 +585,9 @@ def run_reference_pass(
     if registry.enabled:
         ref_counter = registry.counter("pass.references")
         metrics = [
-            _AccessTelemetry(registry, design.name, hierarchy.num_tiers,
-                             with_access_instruments=False)
-            for design, *_ in entries
+            _AccessTelemetry(registry, entry.machine.name,
+                             hierarchy.num_tiers, with_access_instruments=False)
+            for entry in entries
         ]
     trace_on = tracer.enabled
     telemetry_active = metrics is not None or trace_on
@@ -583,11 +595,11 @@ def run_reference_pass(
     # Hot-loop bindings: the per-design method tuples and the reused
     # ``bits_list`` buffer replace per-reference list/dict allocations
     # (pinned by the hot-path counter-equality test).
-    design_names = tuple(entry[0].name for entry in entries)
-    query_fns = tuple(entry[1].query for entry in entries)
-    record_fns = tuple(entry[2].record for entry in entries)
-    account_fns = tuple(entry[3].account for entry in entries)
-    latency_fns = tuple(entry[4].latency for entry in entries)
+    design_names = tuple(entry.machine.name for entry in entries)
+    query_fns = tuple(entry.machine.query for entry in entries)
+    record_fns = tuple(entry.coverage.record for entry in entries)
+    account_fns = tuple(entry.accountant.account for entry in entries)
+    latency_fns = tuple(entry.timing.latency for entry in entries)
     design_range = range(len(entries))
     hierarchy_access = hierarchy.access
     baseline_latency = timing.latency
@@ -638,14 +650,14 @@ def run_reference_pass(
             f"reference stream ({seen} references)"
         )
     results = {
-        design.name: DesignPassResult(
-            design_name=design.name,
-            coverage=meter,
-            energy=accountant.totals,
-            access_time=access_times[index],
-            storage_bits=machine.storage_bits,
+        entry.machine.name: DesignPassResult(
+            design_name=entry.machine.name,
+            coverage=entry.coverage,
+            energy=entry.accountant.totals,
+            access_time=access_time,
+            storage_bits=entry.machine.storage_bits,
         )
-        for index, (design, machine, meter, accountant, _timing) in enumerate(entries)
+        for entry, access_time in zip(entries, access_times)
     }
     cache_stats = {
         cache.config.name: (cache.stats.probes, cache.stats.hits)

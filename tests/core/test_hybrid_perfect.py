@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.base import NullFilter
-from repro.core.hybrid import CompositeFilter
+from repro.core.hybrid import CompositeFilter, components_of
 from repro.core.perfect import PerfectFilter
 from repro.core.tmnm import TMNM
 
@@ -55,13 +55,11 @@ class TestCompositeFilter:
         assert CompositeFilter([a, b]).name == "TMNM_4x1+TMNM_6x1"
         assert CompositeFilter([a, b], label="HMNMx").name == "HMNMx"
 
-    def test_identifying_components(self):
+    def test_components_of(self):
         a = TMNM(4, 1)
         b = TMNM(6, 1)
-        combo = CompositeFilter([a, b])
-        a.on_place(0x3)
-        identifying = combo.identifying_components(0x3)
-        assert identifying == [b]
+        assert components_of(CompositeFilter([a, b])) == (a, b)
+        assert components_of(a) == (a,)
 
 
 class TestNullFilter:

@@ -5,7 +5,12 @@ import pytest
 from repro.cache.cache import AccessKind
 from repro.cache.hierarchy import CacheHierarchy
 from repro.core.base import NullFilter, Placement
-from repro.core.machine import MNMDesign, MostlyNoMachine
+from repro.core.machine import (
+    MNMDesign,
+    MostlyNoMachine,
+    bank_storage_bits,
+    build_banks,
+)
 from repro.core.perfect import PerfectFilter
 from repro.core.presets import (
     hmnm_design,
@@ -119,6 +124,30 @@ class TestStorageAndFlush:
     def test_repr(self):
         machine = make_machine(perfect_design())
         assert "PERFECT" in repr(machine)
+
+
+class TestBuildBanks:
+    """The one bank builder both machines use, over hand-made slots."""
+
+    def slots(self):
+        hierarchy = CacheHierarchy(small_hierarchy_config(3))
+        ul2 = hierarchy.cache_for(2, AccessKind.LOAD)
+        ul3 = hierarchy.cache_for(3, AccessKind.LOAD)
+        return [(2, ul2, 0), (2, ul2, 1), (3, ul3, 0), (3, ul3, None)]
+
+    def test_one_rmnm_per_owner_with_a_lane_per_bank(self):
+        banks, rmnms = build_banks(rmnm_design(128, 2), self.slots(), 16)
+        assert {owner: rmnm.num_lanes for owner, rmnm in rmnms.items()} == {
+            0: 2, 1: 1, None: 1}
+        assert [(bank.core, bank.filter.shared, bank.filter.lane)
+                for bank in banks] == [
+            (0, rmnms[0], 0), (1, rmnms[1], 0), (0, rmnms[0], 1),
+            (None, rmnms[None], 0)]
+        assert bank_storage_bits(banks, rmnms.values()) == sum(
+            rmnm.storage_bits for rmnm in rmnms.values())
+
+    def test_no_slots_no_rmnm(self):
+        assert build_banks(rmnm_design(128, 2), [], 16) == ([], {})
 
 
 class TestDesign:

@@ -1,11 +1,13 @@
 """The core's latency-column loop against its memory-system loop.
 
-:meth:`OutOfOrderCore.run` with ``latencies`` (the fast engine's loop)
-must return what the same core returns against a memory system when the
-column holds the latency that memory gives each access of
-:func:`~repro.cpu.core.core_references`, in order, and train its branch
-predictor the same way.  A column of any other length raises
-:class:`RuntimeError`, also under ``python -O``.
+:meth:`OutOfOrderCore.run` with ``references`` and ``latencies`` (the
+fast engine's loop) must return what the same core returns against a
+memory system when ``references`` is the trace's
+:func:`~repro.cpu.core.core_references` stream and the column holds the
+latency that memory gives each of its accesses, in order, and train its
+branch predictor the same way.  One of the two without the other raises
+:class:`ValueError`; a column, stream and trace that disagree in length
+raise :class:`RuntimeError`, also under ``python -O``.
 """
 
 import dataclasses
@@ -49,26 +51,27 @@ class ScatteredMemory(MemorySystem):
         return self._l1_latency
 
 
-def latency_column(trace, memory):
-    """What ``memory`` answers for each access of the trace's core stream."""
+def over_column(trace, memory):
+    """``run``'s keywords for the latency-column loop: the trace's core
+    stream and what ``memory`` answers for each of its accesses."""
     derived = core_references(trace, memory.fetch_block_size)
     kinds = tuple(AccessKind)
-    return np.array([memory.access(address, kinds[code]) for address, code
-                     in zip(derived.addresses.tolist(),
-                            derived.kinds.tolist())], np.int64)
+    column = np.array([memory.access(address, kinds[code]) for address, code
+                       in zip(derived.addresses.tolist(),
+                              derived.kinds.tolist())], np.int64)
+    return {"references": derived, "latencies": column}
 
 
 def both_loops(trace, memory, config, make_predictor, warmup):
     """Run both loops; return their results, warm-up callback counts and
     the predictors' final predictions at every branch pc."""
-    column = latency_column(trace, memory)
     outcomes = []
-    for latencies in (None, column):
+    for loop in ({}, over_column(trace, memory)):
         predictor = make_predictor()
         fired = []
         result = OutOfOrderCore(config, memory, predictor).run(
             trace, warmup=warmup, on_warmup_end=lambda: fired.append(1),
-            latencies=latencies)
+            **loop)
         branch = trace.columns.op == OP_CODES[OpClass.BRANCH.value]
         pcs = trace.columns.pc[branch].tolist()
         outcomes.append((result, len(fired),
@@ -106,15 +109,14 @@ def test_warmup_covering_the_trace_raises(predictor):
     pcs = trace.columns.pc.tolist()
     untrained = [PREDICTORS[predictor]().predict(pc) for pc in pcs]
     for warmup in (len(trace), 5000):
-        for latencies in (None, latency_column(trace, memory)):
+        for loop in ({}, over_column(trace, memory)):
             used = PREDICTORS[predictor]()
             fired = []
             core = OutOfOrderCore(paper_core(8), memory, used)
             with pytest.raises(ValueError, match=f"warmup={warmup} covers "
                                f"the entire trace \\({len(trace)} "):
                 core.run(trace, warmup=warmup,
-                         on_warmup_end=lambda: fired.append(1),
-                         latencies=latencies)
+                         on_warmup_end=lambda: fired.append(1), **loop)
             assert fired == []
             assert [used.predict(pc) for pc in pcs] == untrained
 
@@ -139,18 +141,44 @@ def test_column_of_another_length_raises(change):
     assert, so ``python -O`` keeps the check."""
     trace = get_trace("gcc", 2000, 1)
     memory = FixedLatencyMemory(2, 30, block_size=32)
-    column = latency_column(trace, memory)
+    loop = over_column(trace, memory)
+    column = loop["latencies"]
     wrong = column[:change] if change < 0 else np.append(column, 2)
     core = OutOfOrderCore(paper_core(8), memory)
     with pytest.raises(RuntimeError, match="derived reference stream"):
-        core.run(trace, warmup=500, latencies=wrong)
-    result = core.run(trace, warmup=500, latencies=column)
+        core.run(trace, warmup=500, references=loop["references"],
+                 latencies=wrong)
+    result = core.run(trace, warmup=500, **loop)
     assert result.instructions == len(trace) - 500
+
+
+def test_stream_of_another_trace_raises():
+    """A stream derived from another trace, with a column that fits it:
+    RuntimeError, not an assert."""
+    trace = get_trace("gcc", 2000, 1)
+    memory = FixedLatencyMemory(2, 30, block_size=32)
+    core = OutOfOrderCore(paper_core(8), memory)
+    other = get_trace("gcc", 1000, 1)
+    assert len(other) != len(trace)
+    with pytest.raises(RuntimeError, match=f"over a trace of {len(trace)}"):
+        core.run(trace, warmup=500, **over_column(other, memory))
+
+
+def test_references_and_latencies_come_together():
+    trace = get_trace("gcc", 2000, 1)
+    memory = FixedLatencyMemory(2, 30, block_size=32)
+    core = OutOfOrderCore(paper_core(8), memory)
+    for one, value in over_column(trace, memory).items():
+        with pytest.raises(ValueError, match="pass both or neither"):
+            core.run(trace, warmup=500, **{one: value})
 
 
 def test_empty_trace():
     memory = FixedLatencyMemory()
-    result = OutOfOrderCore(paper_core(8), memory).run([], latencies=[])
+    result = OutOfOrderCore(paper_core(8), memory).run(
+        [], **over_column([], memory))
     assert result == OutOfOrderCore(paper_core(8), memory).run([])
     with pytest.raises(RuntimeError, match="derived reference stream"):
-        OutOfOrderCore(paper_core(8), memory).run([], latencies=[2])
+        OutOfOrderCore(paper_core(8), memory).run(
+            [], references=core_references([], memory.fetch_block_size),
+            latencies=[2])

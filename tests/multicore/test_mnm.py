@@ -2,18 +2,30 @@
 
 import random
 
+import pytest
+
 from repro.cache.cache import AccessKind
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.presets import (
+    paper_hierarchy_2level,
+    paper_hierarchy_3level,
+    paper_hierarchy_5level,
+    paper_hierarchy_7level,
+)
+from repro.core.hybrid import components_of
 from repro.core.machine import MostlyNoMachine
 from repro.core.presets import (
+    all_paper_design_names,
     hmnm_design,
     parse_design,
     perfect_design,
     tmnm_design,
 )
+from repro.core.rmnm import RMNMLane
 from repro.multicore.config import MulticoreConfig
 from repro.multicore.hierarchy import MulticoreHierarchy
 from repro.multicore.mnm import MulticoreMNM, multicore_storage_bits
+from repro.power.budget import design_storage_bits
 from tests.conftest import random_references, small_hierarchy_config
 
 
@@ -64,6 +76,47 @@ class TestTopologies:
             for sharing in ("private", "shared", "hybrid")
         }
         assert bits["shared"] <= bits["hybrid"] <= bits["private"]
+
+
+    def test_unknown_sharing_raises(self):
+        """A ValueError naming the sharing, not an assert (also under
+        ``python -O``), whatever the hierarchy was built for."""
+        mc = MulticoreConfig(cores=2, mnm_sharing="shared")
+        hierarchy = MulticoreHierarchy(small_hierarchy_config(3), mc)
+        with pytest.raises(ValueError, match="unknown mnm_sharing 'bogus'"):
+            MulticoreMNM(hierarchy, tmnm_design(10, 1), "bogus")
+
+
+def bank_layout(banks):
+    """Each bank's tier, cache, filter name and RMNM lane (None: no lane)."""
+    layout = []
+    for bank in banks:
+        lanes = [component.lane for component in components_of(bank.filter)
+                 if isinstance(component, RMNMLane)]
+        layout.append((bank.tier, bank.cache.config.name, bank.filter.name,
+                       lanes[0] if lanes else None))
+    return layout
+
+
+@pytest.mark.parametrize("preset", [
+    paper_hierarchy_2level, paper_hierarchy_3level, paper_hierarchy_5level,
+    paper_hierarchy_7level,
+], ids=lambda preset: preset.__name__)
+def test_one_shared_core_builds_the_single_core_machine(preset):
+    """Both machines build through one bank builder: on one core, the
+    ``shared`` topology is the single-core machine, bank for bank, for
+    every paper design."""
+    config = preset()
+    mc = MulticoreConfig(cores=1, mnm_sharing="shared")
+    for name in all_paper_design_names():
+        design = parse_design(name)
+        machine = MostlyNoMachine(CacheHierarchy(config), design)
+        mnm = MulticoreMNM(MulticoreHierarchy(config, mc), design, "shared")
+        assert bank_layout(mnm.banks()) == bank_layout(machine.banks()), name
+        assert all(bank.core is None for bank in mnm.banks()), name
+        assert mnm.storage_bits == machine.storage_bits, name
+        assert (multicore_storage_bits(config, design, mc)
+                == design_storage_bits(config, design)), name
 
 
 class TestInvalidationRouting:
