@@ -39,11 +39,13 @@ changes at events, answers each segment between two events with one
 vectorized :meth:`~repro.core.base.MissFilter.query_many` call; TMNM,
 SMNM and CMNM override it with numpy replays of their counters,
 flip-flops and finder, which the default loop pins as their oracle.  An
-RMNM is a set-associative cache with a replacement policy, so it
-replays scalar, once per geometry and owner domain over the domain's
-event stream (less the placements that precede their granule's first
-replacement, which cannot change it), and each lane's bits are then
-extracted vectorially.
+RMNM is an LRU cache of replaced granules whose order only replacements
+touch: it replays once per geometry and owner domain, over the domain's
+event stream less the events of granules the domain never replaces
+(prepared once for every geometry), with
+:meth:`~repro.core.rmnm.RMNMCache.replay` — one pass of the
+replacements over its sets, then one search per row — and each lane's
+bits are then extracted vectorially.
 
 **Phase C (account, :class:`Accounting`).**  Timing, energy and coverage
 depend only on the (kind, supplier, miss-bit pattern) equivalence class of
@@ -92,7 +94,6 @@ from repro.core.base import (
     INVALIDATE,
     PLACE,
     REPLACE,
-    SCALAR_SEGMENT,
     MissFilter,
 )
 from repro.core.hybrid import CompositeFilter, components_of
@@ -619,6 +620,7 @@ class Replay:
 
         self._component_answers: Dict[Tuple, "_np.ndarray"] = {}
         self._lane_answers: Dict[Tuple, "_np.ndarray"] = {}
+        self._rmnm_events: Dict[Tuple, Tuple["_np.ndarray", ...]] = {}
         self._rmnm_bits: Dict[Tuple, "_np.ndarray"] = {}
 
     # -- rows and events --------------------------------------------------------
@@ -734,43 +736,24 @@ class Replay:
 
         The RMNM sees its domain's events in global order (its eviction
         decisions depend on the interleaving), so it replays over them
-        once; lanes then extract their bit vectorially.  Another core's
-        event is a placement: :class:`RMNMLane` keeps the default
-        downgrade, which is its ``on_place``.  Only a replace creates an
-        entry and a placement only clears bits of one, so on an RMNM that
-        starts empty the placements of a granule before its first replace
-        change nothing and are skipped; rows between the events that are
-        left are answered together.
+        once, in :meth:`~repro.core.rmnm.RMNMCache.replay`; lanes then
+        extract their bit vectorially.  Another core's event is a
+        placement: :class:`RMNMLane` keeps the default downgrade, which
+        is its ``on_place``.  The machine's RMNM starts empty and only a
+        replace creates an entry, so the events of granules the domain
+        never replaces change nothing and are left out; what is left is
+        prepared once per owner and lane layout, for every geometry.
         """
-        events = self._domain_events(owner, lane_of)
-        if rmnm.occupancy == 0:
-            _bounds, _lanes, actions, granule_of = events
-            keep = _changes_fresh_rmnm(actions, granule_of)
+        key = (owner, tuple(lane_of))
+        events = self._rmnm_events.get(key)
+        if events is None:
+            events = self._domain_events(owner, lane_of)
+            _bounds, _lanes, actions, granules = events
+            keep = _np.isin(granules, granules[actions == REPLACE])
             events = tuple(column[keep] for column in events)
-        record_place = rmnm.record_place
-        targets = (rmnm.record_replace, record_place, record_place)
+            self._rmnm_events[key] = events
         _rows, granules = self.rows(None, owner)
-        n = granules.shape[0]
-        replaced = _np.empty(n, dtype=_np.int64)
-        position = 0
-        bits_many = rmnm.replaced_bits_many
-        bits_of = rmnm.replaced_bits_of
-        all_ints = memoryview(granules)
-        # Zipped memoryviews yield Python ints one at a time, without
-        # materialising a list per column.
-        for bound, lane, action, granule in zip(*map(memoryview, events)):
-            if bound > position:
-                if bound - position <= SCALAR_SEGMENT:
-                    for row in range(position, bound):
-                        replaced[row] = bits_of(all_ints[row])
-                else:
-                    replaced[position:bound] = bits_many(
-                        granules[position:bound])
-                position = bound
-            targets[action](granule, lane)
-        if position < n:
-            replaced[position:] = bits_many(granules[position:])
-        return replaced
+        return rmnm.replay(*events, granules)
 
     def _lane(self, cache_index: int, owner: Optional[int],
               component: RMNMLane, lane_of: List[int]) -> "_np.ndarray":
@@ -868,21 +851,6 @@ class Replay:
             registry.counter("mnm.miss_answers").inc(
                 int(bits_matrix.any(axis=1).sum()))
         return bits_matrix
-
-
-def _changes_fresh_rmnm(actions: "_np.ndarray", granules: "_np.ndarray"
-                        ) -> "_np.ndarray":
-    """Which events can change an empty RMNM: every replace, and every
-    placement that follows a replace of its granule."""
-    replaces = _np.flatnonzero(actions == REPLACE)
-    keep = actions == REPLACE
-    if replaces.shape[0]:
-        replaced, first = _np.unique(granules[replaces], return_index=True)
-        slot = _np.minimum(_np.searchsorted(replaced, granules),
-                           replaced.shape[0] - 1)
-        keep |= ((replaced[slot] == granules)
-                 & (_np.arange(granules.shape[0]) > replaces[first][slot]))
-    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -1035,18 +1003,16 @@ class Accounting:
                present: "_np.ndarray", with_bits: bool) -> None:
         """Set ``accountant.totals`` as if it had accounted ``class_ids`` in order.
 
-        Each present class's exact add stream is captured once, zero-padded
-        to the longest program, and the flattened per-reference sequence is
-        summed with ``np.add.accumulate`` — a strict left-to-right fold, so
-        it performs the same float additions as the interpreter's ``+=``
-        loop from the dataclass default ``0.0``.  The padding is exact:
-        every operand is a non-negative energy cost, so the running total
-        is never ``-0.0`` and ``x + 0.0 == x`` bit-for-bit.
+        Each present class's exact add stream is captured once; each
+        reference then gathers its own class's operands (a ragged gather),
+        and the flattened per-reference sequence is summed with
+        ``np.add.accumulate`` — a strict left-to-right fold, so it
+        performs the same float additions as the interpreter's ``+=``
+        loop from the dataclass default ``0.0``.
         """
-        size = self.num_classes(with_bits)
         recorder = self._recorder
         programs: Dict[str, List[Tuple[float, ...]]] = {
-            fieldname: [()] * size for fieldname in _FLOAT_FIELDS
+            fieldname: [] for fieldname in _FLOAT_FIELDS
         }
         real_totals = accountant.totals
         accountant.totals = recorder  # type: ignore[assignment]
@@ -1054,23 +1020,34 @@ class Accounting:
             for class_id in present.tolist():
                 accountant.account(*self.unpack(class_id, with_bits))
                 for fieldname, program in recorder.take().items():
-                    programs[fieldname][class_id] = program
+                    programs[fieldname].append(program)
         finally:
             accountant.totals = real_totals
+        size = self.num_classes(with_bits)
         for fieldname, field_programs in programs.items():
-            width = max(map(len, field_programs), default=0)
-            if width == 0 or class_ids.shape[0] == 0:
-                setattr(real_totals, fieldname, 0.0)
-                continue
-            matrix = _np.zeros((size, width), dtype=_np.float64)
-            for class_id, program in enumerate(field_programs):
-                if program:
-                    matrix[class_id, :len(program)] = program
+            operands = _np.fromiter(
+                (value for program in field_programs for value in program),
+                dtype=_np.float64)
+            lengths = _np.zeros(size, dtype=_np.int64)
+            lengths[present] = list(map(len, field_programs))
+            starts = _np.zeros(size, dtype=_np.int64)
+            starts[present] = _np.cumsum(lengths[present]) - lengths[present]
+            # Per reference, its operand count and the shift from its
+            # operands' place in the flattened sequence to its class's.
+            counts = lengths[class_ids]
+            ends = _np.cumsum(counts)
+            shifts = starts[class_ids] - (ends - counts)
             # Folded in chunks of references, carrying the running total
             # into each chunk's first operand (``a + b == b + a`` exactly).
             total = 0.0
             for start in range(0, class_ids.shape[0], _ENERGY_CHUNK):
-                flat = matrix[class_ids[start:start + _ENERGY_CHUNK]].ravel()
+                stop = min(start + _ENERGY_CHUNK, class_ids.shape[0])
+                first = int(ends[start] - counts[start])
+                last = int(ends[stop - 1])
+                if first == last:
+                    continue
+                flat = operands[_np.arange(first, last) + _np.repeat(
+                    shifts[start:stop], counts[start:stop])]
                 flat[0] += total
                 _np.add.accumulate(flat, out=flat)
                 total = float(flat[-1])

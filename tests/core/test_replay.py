@@ -14,6 +14,13 @@ Streams draw granules from a small range so slots and sums collide,
 replacements of absent granules (the below-zero fallback), double
 placements, invalidations, repeated bounds, bounds equal to the query
 count, and empty event and query arrays.
+
+:meth:`RMNMCache.replay` is pinned the same way against the loop the
+record/replay kernel ran before it: every event through the scalar
+hooks, each segment of rows between two events answered from the
+shared cache's words.  Twin RMNMs of 1-8 sets, 1-4 ways and 1-5 lanes
+must give the same words and leave every set with the same granules, in
+the same LRU order, with the same bits.
 """
 
 from __future__ import annotations
@@ -23,9 +30,12 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.base import MissFilter
+import numpy as np
+
+from repro.core.base import REPLACE, SCALAR_SEGMENT, MissFilter
 from repro.core.cmnm import CMNM
 from repro.core.machine import MNMDesign
+from repro.core.rmnm import RMNMCache
 from repro.core.smnm import SMNM
 from repro.core.tmnm import TMNM
 from repro.multicore.config import MulticoreConfig
@@ -70,9 +80,10 @@ def cmnm_twins(draw):
 
 
 @st.composite
-def streams(draw):
-    """``(prefix, bounds, actions, granules, queries)`` of one example."""
-    granule = st.integers(0, SPAN - 1)
+def streams(draw, span=SPAN):
+    """``(prefix, bounds, actions, granules, queries)`` of one example,
+    granules below ``span``."""
+    granule = st.integers(0, span - 1)
     event = st.tuples(st.integers(0, 2), granule)
     prefix = draw(st.one_of(st.just([]), st.lists(event, max_size=30)))
     queries = draw(st.lists(granule, max_size=40))
@@ -143,6 +154,74 @@ def test_counting_smnm_replay_equals_scalar_loop(data, stream):
 @given(st.data(), streams())
 def test_cmnm_replay_equals_scalar_loop(data, stream):
     check_twins(cmnm_twins(data.draw), stream)
+
+
+def segmented_rmnm_replay(rmnm, bounds, lanes, actions, granules, queries):
+    """The scalar oracle of :meth:`RMNMCache.replay`: each event through
+    :meth:`~RMNMCache.record_replace` or :meth:`~RMNMCache.record_place`
+    (an invalidation is a placement), each segment of rows between two
+    events answered with :meth:`~RMNMCache.replaced_bits_many`, or with
+    :meth:`~RMNMCache.replaced_bits_of` when it is short."""
+    queries = np.asarray(queries, dtype=np.int64)
+    words = np.zeros(queries.shape[0], dtype=np.int64)
+    position = 0
+    for bound, lane, action, granule in zip(bounds, lanes, actions,
+                                            granules):
+        if bound > position:
+            if bound - position <= SCALAR_SEGMENT:
+                for row in range(position, bound):
+                    words[row] = rmnm.replaced_bits_of(int(queries[row]))
+            else:
+                words[position:bound] = rmnm.replaced_bits_many(
+                    queries[position:bound])
+            position = bound
+        if action == REPLACE:
+            rmnm.record_replace(granule, lane)
+        else:
+            rmnm.record_place(granule, lane)
+    if position < queries.shape[0]:
+        words[position:] = rmnm.replaced_bits_many(queries[position:])
+    return words
+
+
+def rmnm_state(rmnm):
+    """Each set's granules in LRU order (oldest first), with their bits."""
+    return [list(entries.items()) for entries in rmnm._sets]
+
+
+@DIFFERENTIAL
+@given(st.data())
+def test_rmnm_replay_equals_scalar_loop(data):
+    """Granules span twice the RMNM's entries, so sets fill and evict:
+    the streams replace resident granules, place resident granules
+    between replacements, place granules before any replacement, and
+    replace granules the RMNM evicted earlier."""
+    sets = data.draw(st.sampled_from((1, 2, 4, 8)), label="sets")
+    ways = data.draw(st.sampled_from((1, 2, 4)), label="ways")
+    num_lanes = data.draw(st.integers(1, 5), label="lanes")
+    prefix, bounds, actions, granules, queries = data.draw(
+        streams(2 * sets * ways), label="stream")
+    lanes = data.draw(st.lists(st.integers(0, num_lanes - 1),
+                               min_size=len(actions), max_size=len(actions)),
+                      label="event lanes")
+    prefix_lanes = data.draw(st.lists(st.integers(0, num_lanes - 1),
+                                      min_size=len(prefix),
+                                      max_size=len(prefix)),
+                             label="prefix lanes")
+    fast, oracle = (RMNMCache(sets * ways, ways, num_lanes)
+                    for _twin in range(2))
+    for twin in (fast, oracle):
+        for (action, granule), lane in zip(prefix, prefix_lanes):
+            if action == REPLACE:
+                twin.record_replace(granule, lane)
+            else:
+                twin.record_place(granule, lane)
+    words = fast.replay(bounds, lanes, actions, granules, queries)
+    expected = segmented_rmnm_replay(oracle, bounds, lanes, actions,
+                                     granules, queries)
+    assert words.dtype == np.int64
+    assert words.tolist() == expected.tolist()
+    assert rmnm_state(fast) == rmnm_state(oracle)
 
 
 class PinningTMNM(TMNM):

@@ -54,6 +54,39 @@ class TestRMNMCache:
         assert rmnm.is_replaced(0, 0)
         assert rmnm.is_replaced(4, 0)
 
+    def test_replacing_a_resident_granule_makes_it_most_recent(self):
+        rmnm = RMNMCache(2, 2, 2)  # one set, 2-way
+        rmnm.record_replace(0, 0)
+        rmnm.record_replace(1, 0)
+        rmnm.record_replace(0, 1)  # 0 becomes the most recent
+        rmnm.record_replace(2, 0)  # evicts 1, the least recent
+        assert rmnm.replaced_bits_of(0) == 0b11
+        assert not rmnm.is_replaced(1, 0)
+        assert rmnm.is_replaced(2, 0)
+
+    def test_placement_leaves_the_lru_order(self):
+        rmnm = RMNMCache(2, 2, 1)
+        rmnm.record_replace(0, 0)
+        rmnm.record_replace(1, 0)
+        rmnm.record_place(0, 0)  # clears 0's bit, keeps it least recent
+        rmnm.record_replace(2, 0)  # evicts 0
+        assert rmnm.occupancy == 2
+        assert rmnm.is_replaced(1, 0)
+        assert rmnm.is_replaced(2, 0)
+        rmnm.record_replace(3, 0)  # then 1
+        assert not rmnm.is_replaced(1, 0)
+
+    def test_lookups_leave_the_lru_order(self):
+        rmnm = RMNMCache(2, 2, 1)
+        rmnm.record_replace(0, 0)
+        rmnm.record_replace(1, 0)
+        assert rmnm.is_replaced(0, 0)
+        assert rmnm.replaced_bits_of(0) == 1
+        assert rmnm.replaced_bits_many([0, 0]).tolist() == [1, 1]
+        rmnm.record_replace(2, 0)  # still evicts 0
+        assert not rmnm.is_replaced(0, 0)
+        assert rmnm.is_replaced(1, 0)
+
     def test_flush_lane_only_clears_that_lane(self):
         rmnm = RMNMCache(128, 1, 2)
         rmnm.record_replace(7, 0)

@@ -12,7 +12,7 @@ take 2,000-6,000-instruction traces of three shapes (loops, load chains
 past the level-2 cache, store bursts) on cores with a small RUU and LSQ,
 0, 1 or 16 MSHRs and every branch predictor, so the windows and MSHRs
 fill and the predictor trains.  Reference passes also
-run reuse-heavy random streams against one RMNM of 64-512 entries, long
+run reuse-heavy random streams against 1-4 RMNMs of 64-512 entries, long
 enough that replaced blocks are placed again and queried.  Multicore
 passes draw 1-4 cores of short reference streams over the same
 hierarchies, every MNM sharing, L2 policy and schedule, and designs of
@@ -370,19 +370,22 @@ def test_reference_pass_engines_agree(hierarchy, design_set, trace, data):
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(500, 2000),
        span=st.integers(2 << 10, 8 << 10),
-       entries=st.sampled_from((64, 128, 256, 512)),
-       associativity=st.sampled_from((1, 2, 4, 8)))
-def test_rmnm_reference_pass_engines_agree(seed, count, span, entries,
-                                           associativity):
+       geometries=st.lists(
+           st.tuples(st.sampled_from((64, 128, 256, 512)),
+                     st.sampled_from((1, 2, 4, 8))),
+           min_size=1, max_size=4, unique=True))
+def test_rmnm_reference_pass_engines_agree(seed, count, span, geometries):
     """Reuse-heavy streams that place replaced blocks again and query
     them, so a wrong RMNM bit reaches a result; the fuzzer's short traces
-    seldom do."""
+    seldom do.  Each pass runs 1-4 RMNM geometries, as Figure 10 does,
+    so they share one preparation of the domain's events."""
     references = random_references(random.Random(seed), count, span)
     results = {
         engine: run_reference_pass(
             references, small_hierarchy_config(3),
-            [rmnm_design(entries, associativity)], workload_name="rmnm",
-            warmup=count // 4, engine=engine)
+            [rmnm_design(entries, associativity)
+             for entries, associativity in geometries],
+            workload_name="rmnm", warmup=count // 4, engine=engine)
         for engine in ("interp", "fast")}
     assert exact(results["fast"]) == exact(results["interp"])
     assert all(result.coverage.violations == 0
