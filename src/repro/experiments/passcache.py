@@ -54,10 +54,11 @@ if TYPE_CHECKING:  # avoid an import cycle with repro.experiments.base
     from repro.multicore.config import MulticoreConfig
 
 #: Envelope magic + layout version.  Bump the version whenever the
-#: pickled result dataclasses change shape; old entries then read as
-#: misses instead of deserialising into stale layouts.
+#: pickled result dataclasses change shape, or the simulated values they
+#: hold change (version 2: energies priced once per access class); old
+#: entries then read as misses, never as stale layouts or numbers.
 CACHE_MAGIC = "repro-passcache"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------

@@ -49,11 +49,12 @@ bits are then extracted vectorially.
 
 **Phase C (account, :class:`Accounting`).**  Timing, energy and coverage
 depend only on the (kind, supplier, miss-bit pattern) equivalence class of
-a reference, so the models run once per *class* and integer totals fold
-with ``bincount`` dot products.  Float energy is kept byte-identical by
-recording, per class, the exact sequence of ``+=`` operands the accountant
-performs, then replaying those operands in original reference order with
-the same left-to-right summation the interpreter used.
+a reference, so the models run once per *class*: latencies fold with
+``bincount`` dot products, and each present class's count goes to the
+coverage meter, the energy accountant and the telemetry buffer in one
+call each.  The accountant itself counts classes and prices each once
+(:class:`~repro.power.energy.EnergyAccountant`), so the kernel's energy
+floats are the interpreter's whatever order the references came in.
 
 :func:`run_reference_pass_fast` composes the phases for many designs over
 a reference stream; :func:`repro.simulate.run_core_trace` composes them
@@ -86,7 +87,6 @@ import numpy as _np
 
 from repro.addresses import log2_exact
 from repro.analysis.coverage import CoverageMeter
-from repro.analysis.timing import AccessTimingModel
 from repro.cache.cache import AccessKind, Cache, CacheConfig, CacheSide
 from repro.cache.hierarchy import AccessOutcome, CacheHierarchy, HierarchyConfig
 from repro.cache.replacement import RandomPolicy
@@ -111,12 +111,6 @@ KINDS: Tuple[AccessKind, ...] = (AccessKind.INSTRUCTION, AccessKind.LOAD,
                                  AccessKind.STORE)
 #: Each kind's code, keyed by the member's ``id`` (see reference_columns).
 _KIND_CODES: Dict[int, int] = {id(kind): code for code, kind in enumerate(KINDS)}
-
-#: EnergyTotals fields accumulated with float ``+=`` (order-sensitive).
-_FLOAT_FIELDS = ("cache_probe_nj", "miss_probe_nj", "refill_nj", "mnm_nj")
-
-#: References per chunk of the energy fold (bounds its scratch memory).
-_ENERGY_CHUNK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -857,49 +851,6 @@ class Replay:
 # Phase C: account
 # ---------------------------------------------------------------------------
 
-class _FieldRecorder:
-    """Append-only stand-in for one float field of ``EnergyTotals``."""
-
-    __slots__ = ("adds",)
-
-    def __init__(self) -> None:
-        self.adds: List[float] = []
-
-    def __iadd__(self, value: float) -> "_FieldRecorder":
-        self.adds.append(value)
-        return self
-
-
-class _RecordingTotals:
-    """``EnergyTotals`` double that captures the accountant's add stream.
-
-    :meth:`EnergyAccountant.account` only ever does ``totals.<field> +=``
-    (and ``totals.accesses += 1``), so swapping the accountant's ``totals``
-    for this object records, per equivalence class, the exact operand
-    sequence each field receives.
-    """
-
-    __slots__ = ("cache_probe_nj", "miss_probe_nj", "refill_nj",
-                 "mnm_nj", "accesses")
-
-    def __init__(self) -> None:
-        self.cache_probe_nj = _FieldRecorder()
-        self.miss_probe_nj = _FieldRecorder()
-        self.refill_nj = _FieldRecorder()
-        self.mnm_nj = _FieldRecorder()
-        self.accesses = 0
-
-    def take(self) -> Dict[str, Tuple[float, ...]]:
-        """Pop the captured per-field programs, resetting the buffers."""
-        programs = {}
-        for fieldname in _FLOAT_FIELDS:
-            recorder = getattr(self, fieldname)
-            programs[fieldname] = tuple(recorder.adds)
-            recorder.adds = []
-        self.accesses = 0
-        return programs
-
-
 class Accounting:
     """Prices references by equivalence class and folds the totals.
 
@@ -923,7 +874,6 @@ class Accounting:
                          + suppliers)
         self._outcomes: Dict[int, AccessOutcome] = {}
         self._bits: Dict[int, Tuple[bool, ...]] = {}
-        self._recorder = _RecordingTotals()
 
     def num_classes(self, with_bits: bool) -> int:
         return self.num_base << self.pattern_bits if with_bits else self.num_base
@@ -982,77 +932,27 @@ class Accounting:
         return values
 
     def fold(self, counts: "_np.ndarray", present: "_np.ndarray",
-             with_bits: bool, latency_of: Optional["_np.ndarray"],
-             meter: Optional[CoverageMeter], telemetry) -> None:
-        """Fold class counts into a coverage meter and access telemetry.
+             with_bits: bool, latency_of: Optional["_np.ndarray"] = None,
+             meter: Optional[CoverageMeter] = None,
+             accountant: Optional[EnergyAccountant] = None,
+             telemetry=None) -> None:
+        """Fold class counts into a coverage meter, an energy accountant and
+        access telemetry.
 
         ``latency_of`` is the per-class latency table (read only for
         telemetry); ``telemetry`` is a :class:`repro.simulate.
-        _AccessTelemetry` buffer.  Either sink may be None.
+        _AccessTelemetry` buffer.  Any sink may be None.
         """
         for class_id in present.tolist():
             class_count = int(counts[class_id])
             outcome, class_bits = self.unpack(class_id, with_bits)
             if meter is not None:
                 meter.record_many(outcome, class_bits, class_count)
+            if accountant is not None:
+                accountant.account_many(outcome, class_bits, class_count)
             if telemetry is not None:
                 telemetry.record_many(outcome, class_bits, class_count,
                                       int(latency_of[class_id]))
-
-    def energy(self, accountant: EnergyAccountant, class_ids: "_np.ndarray",
-               present: "_np.ndarray", with_bits: bool) -> None:
-        """Set ``accountant.totals`` as if it had accounted ``class_ids`` in order.
-
-        Each present class's exact add stream is captured once; each
-        reference then gathers its own class's operands (a ragged gather),
-        and the flattened per-reference sequence is summed with
-        ``np.add.accumulate`` — a strict left-to-right fold, so it
-        performs the same float additions as the interpreter's ``+=``
-        loop from the dataclass default ``0.0``.
-        """
-        recorder = self._recorder
-        programs: Dict[str, List[Tuple[float, ...]]] = {
-            fieldname: [] for fieldname in _FLOAT_FIELDS
-        }
-        real_totals = accountant.totals
-        accountant.totals = recorder  # type: ignore[assignment]
-        try:
-            for class_id in present.tolist():
-                accountant.account(*self.unpack(class_id, with_bits))
-                for fieldname, program in recorder.take().items():
-                    programs[fieldname].append(program)
-        finally:
-            accountant.totals = real_totals
-        size = self.num_classes(with_bits)
-        for fieldname, field_programs in programs.items():
-            operands = _np.fromiter(
-                (value for program in field_programs for value in program),
-                dtype=_np.float64)
-            lengths = _np.zeros(size, dtype=_np.int64)
-            lengths[present] = list(map(len, field_programs))
-            starts = _np.zeros(size, dtype=_np.int64)
-            starts[present] = _np.cumsum(lengths[present]) - lengths[present]
-            # Per reference, its operand count and the shift from its
-            # operands' place in the flattened sequence to its class's.
-            counts = lengths[class_ids]
-            ends = _np.cumsum(counts)
-            shifts = starts[class_ids] - (ends - counts)
-            # Folded in chunks of references, carrying the running total
-            # into each chunk's first operand (``a + b == b + a`` exactly).
-            total = 0.0
-            for start in range(0, class_ids.shape[0], _ENERGY_CHUNK):
-                stop = min(start + _ENERGY_CHUNK, class_ids.shape[0])
-                first = int(ends[start] - counts[start])
-                last = int(ends[stop - 1])
-                if first == last:
-                    continue
-                flat = operands[_np.arange(first, last) + _np.repeat(
-                    shifts[start:stop], counts[start:stop])]
-                flat[0] += total
-                _np.add.accumulate(flat, out=flat)
-                total = float(flat[-1])
-            setattr(real_totals, fieldname, total)
-        real_totals.accesses = int(class_ids.shape[0])
 
 
 def count_classes(class_ids: "_np.ndarray", size: int
@@ -1099,18 +999,19 @@ def run_reference_pass_fast(
         )
     num_tiers = recording.hierarchy.num_tiers
     accounting = Accounting(recording)
-    timing = AccessTimingModel(hierarchy_config)
     energy_model = HierarchyEnergyModel(hierarchy_config)
 
     # Baseline: priced per (kind, supplier) class.
-    base_ids = accounting.base_ids
-    base_counts, base_present = count_classes(base_ids, accounting.num_base)
+    baseline = design_meters(recording.hierarchy, None, energy_model)
+    timing = baseline.timing
+    base_counts, base_present = count_classes(accounting.base_ids,
+                                              accounting.num_base)
     baseline_access_time = int(base_counts @ accounting.table(
         base_present, False, timing.latency))
     baseline_miss_time = int(base_counts @ accounting.table(
         base_present, False, lambda outcome, _bits: timing.miss_time(outcome)))
-    baseline_accountant = EnergyAccountant(energy_model)
-    accounting.energy(baseline_accountant, base_ids, base_present, False)
+    accounting.fold(base_counts, base_present, False,
+                    accountant=baseline.accountant)
 
     if registry.enabled:
         registry.counter("pass.references").inc(n)
@@ -1132,9 +1033,8 @@ def run_reference_pass_fast(
                                       with_access_instruments=False)
                      if registry.enabled else None)
         accounting.fold(counts, present, True, latency_of, meters.coverage,
-                        telemetry)
+                        meters.accountant, telemetry)
         access_time = int(counts @ latency_of)
-        accounting.energy(meters.accountant, class_ids, present, True)
         if telemetry is not None:
             telemetry.flush()
 
@@ -1158,7 +1058,7 @@ def run_reference_pass_fast(
         references=n,
         baseline_access_time=baseline_access_time,
         baseline_miss_time=baseline_miss_time,
-        baseline_energy=baseline_accountant.totals,
+        baseline_energy=baseline.accountant.totals,
         designs=results,
         cache_stats=cache_stats,
     )
@@ -1216,7 +1116,7 @@ def run_multicore_pass_fast(
         meter = CoverageMeter(hierarchy.num_tiers)
         counts, present = count_classes(
             accounting.class_ids(replay.bank_bits(banks)), size)
-        accounting.fold(counts, present, True, None, meter, None)
+        accounting.fold(counts, present, True, meter=meter)
         results[design.name] = MulticoreDesignResult(
             design_name=design.name,
             coverage=meter,

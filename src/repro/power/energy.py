@@ -3,10 +3,14 @@
 The accountant prices the same structural access stream the timing model
 prices: probes at every tier walked (minus MNM-bypassed ones), a probe at
 the supplying tier, refill writes on the way back, plus the MNM's own
-consultation and bookkeeping energy.  Running one accountant with
-``bits=None`` yields the no-MNM baseline; Figure 3's metric is that
-baseline's ``miss_probe_nj / total_cache_nj`` and Figure 16's is the
-relative saving of a design's total (caches + MNM) against the baseline.
+consultation and bookkeeping energy.  It counts accesses per class and
+prices each class once, so its totals depend only on the multiset of
+accesses: the interpreter, which accounts one access at a time, and the
+fast engine, which hands over whole classes, get the same floats.
+Running one accountant with ``bits=None`` yields the no-MNM baseline;
+Figure 3's metric is that baseline's ``miss_probe_nj / total_cache_nj``
+and Figure 16's is the relative saving of a design's total (caches + MNM)
+against the baseline.
 """
 
 from __future__ import annotations
@@ -79,6 +83,10 @@ class EnergyTotals:
 class EnergyAccountant:
     """Accumulates energy for one design over a reference stream.
 
+    It counts accesses per *class*: (kind, supplier, tiers missed, miss
+    bits of the tiers missed).  Every access of a class costs the same, so
+    :attr:`totals` prices each class once and weights it by its count.
+
     Args:
         model: per-tier energies for the hierarchy.
         placement: MNM position; PARALLEL pays the MNM query on every
@@ -105,62 +113,106 @@ class EnergyAccountant:
         self.mnm_level_query_nj = (
             tuple(mnm_level_query_nj) if mnm_level_query_nj is not None else None
         )
-        self.totals = EnergyTotals()
+        # (kind value, supplying tier or 0 for main memory, tiers missed,
+        # miss bits of the tiers missed) -> accesses
+        self._counts: Dict[Tuple[str, int, int, Tuple[bool, ...]], int] = {}
         self._has_mnm = mnm_query_nj > 0.0 or mnm_update_nj > 0.0
 
     def reset(self) -> None:
-        """Zero the accumulated totals (warmup boundary)."""
-        self.totals = EnergyTotals()
+        """Forget every accounted access (warmup boundary)."""
+        self._counts = {}
 
     def account(
         self,
         outcome: AccessOutcome,
         bits: Optional[Sequence[bool]] = None,
     ) -> None:
-        """Fold one access into the totals.
+        """Count one access.
 
         ``bits`` are the design's definite-miss bits (``None`` = baseline);
         a set bit skips the probe energy of that tier, which is exactly the
         saving the paper's techniques target.
         """
-        totals = self.totals
-        totals.accesses += 1
-        kind = outcome.kind
-        model = self.model
-        missed = outcome.tiers_missed
+        self.account_many(outcome, bits, 1)
 
+    def account_many(
+        self,
+        outcome: AccessOutcome,
+        bits: Optional[Sequence[bool]],
+        count: int,
+    ) -> None:
+        """Count ``count`` identical accesses: ``count`` :meth:`account` calls.
+
+        The fast engine groups references into equivalence classes and
+        hands each class over with one call.
+        """
+        missed = outcome.tiers_missed
+        skipped = (False,) * missed if bits is None else tuple(bits[:missed])
+        supplier = outcome.supplier
+        key = (outcome.kind.value,
+               0 if supplier is MEMORY_TIER else supplier, missed, skipped)
+        counts = self._counts
+        counts[key] = counts.get(key, 0) + count
+
+    @property
+    def totals(self) -> EnergyTotals:
+        """The accounted energy: each class's price times its count.
+
+        Classes are summed in sorted key order, so the floats depend only
+        on which accesses were counted, never on the order they came in:
+        any two callers that count the same classes get the same totals.
+        """
+        totals = EnergyTotals()
+        for key, count in sorted(self._counts.items()):
+            probe, miss_probe, refill, mnm = self._price(*key)
+            totals.cache_probe_nj += count * probe
+            totals.miss_probe_nj += count * miss_probe
+            totals.refill_nj += count * refill
+            totals.mnm_nj += count * mnm
+            totals.accesses += count
+        return totals
+
+    def _price(self, kind_value: str, supplier: int, missed: int,
+               skipped: Tuple[bool, ...]) -> Tuple[float, float, float, float]:
+        """One access's (cache probe, miss probe, refill, MNM) energy, nJ.
+
+        ``supplier`` is the supplying tier, 0 for main memory.
+        """
+        kind = AccessKind(kind_value)
+        model = self.model
+        probe = miss_probe = refill = mnm = 0.0
         for tier in range(1, missed + 1):
-            if bits is not None and bits[tier - 1]:
+            if skipped[tier - 1]:
                 continue
             read = model.read_nj(tier, kind)
-            totals.cache_probe_nj += read
-            totals.miss_probe_nj += read
-        if outcome.supplier is not MEMORY_TIER:
-            totals.cache_probe_nj += model.read_nj(outcome.supplier, kind)
+            probe += read
+            miss_probe += read
+        if supplier:
+            probe += model.read_nj(supplier, kind)
 
         # Refills write the block into every tier that missed, bypassed or
         # not — bypass changes lookups, never contents.
         for tier in range(1, missed + 1):
-            totals.refill_nj += model.write_nj(tier, kind)
+            refill += model.write_nj(tier, kind)
 
         if self._has_mnm:
             if self.placement is Placement.PARALLEL:
-                totals.mnm_nj += self.mnm_query_nj
+                mnm += self.mnm_query_nj
             elif self.placement is Placement.SERIAL:
                 if missed >= 1:
-                    totals.mnm_nj += self.mnm_query_nj
+                    mnm += self.mnm_query_nj
             elif self.placement is Placement.DISTRIBUTED:
                 # only the per-level structures of reached levels are read
                 levels = self.mnm_level_query_nj
                 if levels is not None:
                     for tier in range(2, missed + 1):
-                        totals.mnm_nj += levels[tier - 1]
-                    supplier = outcome.supplier
-                    if supplier is not MEMORY_TIER and supplier >= 2:
-                        totals.mnm_nj += levels[supplier - 1]
+                        mnm += levels[tier - 1]
+                    if supplier >= 2:
+                        mnm += levels[supplier - 1]
                 elif missed >= 1:
-                    totals.mnm_nj += self.mnm_query_nj
+                    mnm += self.mnm_query_nj
             # One place event per refilled tracked tier (tiers >= 2), plus
             # roughly one replacement per fill once caches are warm.
             tracked_fills = max(missed - 1, 0)
-            totals.mnm_nj += 2.0 * tracked_fills * self.mnm_update_nj
+            mnm += 2.0 * tracked_fills * self.mnm_update_nj
+        return probe, miss_probe, refill, mnm

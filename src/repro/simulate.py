@@ -225,8 +225,6 @@ class SimulatedMemory(MemorySystem):
 def build_memory(
     hierarchy_config: HierarchyConfig,
     design: Optional[MNMDesign] = None,
-    with_energy: bool = True,
-    with_coverage: bool = True,
     writeback: bool = False,
     prefetch_degree: int = 0,
     hierarchy: Optional[CacheHierarchy] = None,
@@ -249,33 +247,28 @@ def build_memory(
         if prefetch_degree > 0
         else None
     )
-    if design is not None and _design_is_active(design):
-        meters = design_meters(hierarchy, design,
-                               HierarchyEnergyModel(hierarchy_config))
-        return SimulatedMemory(
-            hierarchy, meters.machine, meters.timing,
-            meters.accountant if with_energy else None,
-            meters.coverage if with_coverage else None,
-            prefetcher=prefetcher,
-        )
-    accountant = (EnergyAccountant(HierarchyEnergyModel(hierarchy_config))
-                  if with_energy else None)
-    return SimulatedMemory(hierarchy, None, AccessTimingModel(hierarchy_config),
-                           accountant, None, prefetcher=prefetcher)
+    if design is not None and not _design_is_active(design):
+        design = None
+    meters = design_meters(hierarchy, design,
+                           HierarchyEnergyModel(hierarchy_config))
+    return SimulatedMemory(hierarchy, meters.machine, meters.timing,
+                           meters.accountant, meters.coverage,
+                           prefetcher=prefetcher)
 
 
 class DesignMeters(NamedTuple):
-    """One design's machine and the meters that price its accesses."""
+    """One design's machine and the meters that price its accesses
+    (no machine and no coverage meter for the no-MNM baseline)."""
 
-    machine: MostlyNoMachine
-    coverage: CoverageMeter
+    machine: Optional[MostlyNoMachine]
+    coverage: Optional[CoverageMeter]
     accountant: EnergyAccountant
     timing: AccessTimingModel
 
 
 def design_meters(
     hierarchy: CacheHierarchy,
-    design: MNMDesign,
+    design: Optional[MNMDesign],
     energy_model: HierarchyEnergyModel,
 ) -> DesignMeters:
     """``design``'s machine on ``hierarchy`` and its meters.
@@ -283,9 +276,15 @@ def design_meters(
     The energy accountant prices the machine's query, update and
     per-level lookup energies at the design's placement; the timing model
     charges the design's placement and delay (nothing for a perfect
-    design).  Every engine and every simulation kind that prices a design
-    builds it here.
+    design).  ``design=None`` is the no-MNM baseline: no machine and no
+    coverage meter, an accountant and a timing model that charge no MNM.
+    Every engine and every simulation kind that prices a design, or the
+    baseline, builds it here.
     """
+    if design is None:
+        return DesignMeters(machine=None, coverage=None,
+                            accountant=EnergyAccountant(energy_model),
+                            timing=AccessTimingModel(hierarchy.config))
     machine = MostlyNoMachine(hierarchy, design)
     return DesignMeters(
         machine=machine,
@@ -474,11 +473,9 @@ def _kernel_memory(
     size = accounting.num_classes(with_bits)
     _counts, present = count_classes(class_ids, size)
     latency_of = accounting.table(present, with_bits, memory.timing.latency)
-    measured = class_ids[boundary:]
-    counts, present = count_classes(measured, size)
+    counts, present = count_classes(class_ids[boundary:], size)
     accounting.fold(counts, present, with_bits, latency_of, memory.coverage,
-                    memory._telemetry)
-    accounting.energy(memory.accountant, measured, present, with_bits)
+                    memory.accountant, memory._telemetry)
     return memory, references, latency_of[class_ids]
 
 
@@ -568,10 +565,9 @@ def run_reference_pass(
     tracer = get_tracer()
 
     hierarchy = CacheHierarchy(hierarchy_config)
-    timing = AccessTimingModel(hierarchy_config)
     energy_model = HierarchyEnergyModel(hierarchy_config)
 
-    baseline_accountant = EnergyAccountant(energy_model)
+    baseline = design_meters(hierarchy, None, energy_model)
     baseline_access_time = 0
     baseline_miss_time = 0
 
@@ -602,9 +598,9 @@ def run_reference_pass(
     latency_fns = tuple(entry.timing.latency for entry in entries)
     design_range = range(len(entries))
     hierarchy_access = hierarchy.access
-    baseline_latency = timing.latency
-    baseline_miss = timing.miss_time
-    baseline_account = baseline_accountant.account
+    baseline_latency = baseline.timing.latency
+    baseline_miss = baseline.timing.miss_time
+    baseline_account = baseline.accountant.account
 
     access_times = [0] * len(entries)
     bits_list: List[Tuple[bool, ...]] = [()] * len(entries)
@@ -673,7 +669,7 @@ def run_reference_pass(
         references=count,
         baseline_access_time=baseline_access_time,
         baseline_miss_time=baseline_miss_time,
-        baseline_energy=baseline_accountant.totals,
+        baseline_energy=baseline.accountant.totals,
         designs=results,
         cache_stats=cache_stats,
     )

@@ -4,9 +4,9 @@ The contract under test is *byte identity*: every number in a
 :class:`~repro.simulate.ReferencePassResult` — integer totals, exact
 float energy, coverage counters, cache statistics — must be equal
 between ``engine="interp"`` and ``engine="fast"`` for the same inputs.
-Floats are compared with ``==`` on purpose: the kernel replays the
-interpreter's exact addition order, so approximate comparison would
-mask a real divergence.
+Floats are compared with ``==`` on purpose: both engines' energy
+accountants price each access class once and sum the classes in one
+order, so approximate comparison would mask a real divergence.
 """
 
 import dataclasses

@@ -27,10 +27,8 @@ def _headroom(workload: str, prefetch_degree: int) -> float:
     warmup = int(len(references) * PAPER_SETTINGS.warmup_fraction)
 
     baseline = build_memory(paper_hierarchy_5level(), None,
-                            with_energy=False,
                             prefetch_degree=prefetch_degree)
     oracle = build_memory(paper_hierarchy_5level(), perfect_design(),
-                          with_energy=False,
                           prefetch_degree=prefetch_degree)
     base_time = oracle_time = 0
     for index, (address, kind) in enumerate(references):

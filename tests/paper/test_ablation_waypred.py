@@ -24,7 +24,7 @@ def _run():
     hierarchy_config = paper_hierarchy_5level()
 
     # 1. collect the dl2 access stream (dl1 misses) from a baseline run
-    memory = build_memory(hierarchy_config, None, with_energy=False)
+    memory = build_memory(hierarchy_config, None)
     dl1 = memory.hierarchy.find_cache("dl1")
     dl2_stream = []
     for inst in trace.instructions:
@@ -44,8 +44,7 @@ def _run():
 
     # 3. MNM (perfect bound) on the same hierarchy: fraction of dl2 probes
     #    it removes entirely
-    oracle = build_memory(hierarchy_config, perfect_design(),
-                          with_energy=False)
+    oracle = build_memory(hierarchy_config, perfect_design())
     bypassed = probed = 0
     for inst in trace.instructions:
         if not inst.op.is_memory:

@@ -1,6 +1,10 @@
 """Tests for per-run energy accounting."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import AccessKind
 from repro.cache.hierarchy import AccessOutcome
@@ -78,6 +82,14 @@ class TestBaselineAccounting:
         assert accountant.totals.total_nj == 0.0
         assert accountant.totals.accesses == 0
 
+    def test_reset_clears_grouped_counts(self):
+        model = HierarchyEnergyModel(CONFIG)
+        accountant = EnergyAccountant(model, mnm_query_nj=0.5)
+        accountant.account_many(outcome(None), (False, True, False), 7)
+        assert accountant.totals.accesses == 7
+        accountant.reset()
+        assert accountant.totals == EnergyTotals()
+
 
 class TestBypassAccounting:
     def test_bypassed_tier_saves_its_probe(self):
@@ -139,3 +151,50 @@ class TestTotals:
 
     def test_empty_fractions(self):
         assert EnergyTotals().miss_fraction == 0.0
+
+
+@st.composite
+def accesses(draw):
+    """An (outcome, bits) access on the 3-tier test hierarchy: no bits (the
+    baseline) or any vector, bits past the tiers missed included."""
+    supplier = draw(st.sampled_from([1, 2, 3, None]))
+    kind = draw(st.sampled_from(list(AccessKind)))
+    bits = draw(st.none() | st.tuples(st.just(False), st.booleans(),
+                                      st.booleans()))
+    return outcome(supplier, kind=kind), bits
+
+
+class TestOrderIndependence:
+    """The engines' agreement rests on this: the interpreter accounts one
+    access at a time in stream order, the fast engine hands over whole
+    classes in class-id order, and both must get the same floats."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(placement=st.sampled_from(list(Placement)),
+           energies=st.tuples(*[st.floats(0.001, 1.0)] * 5),
+           stream=st.lists(accesses(), min_size=1, max_size=80),
+           data=st.data())
+    def test_totals_depend_only_on_the_multiset(self, placement, energies,
+                                                stream, data):
+        query, update, *levels = energies
+        model = HierarchyEnergyModel(CONFIG)
+
+        def fresh():
+            return EnergyAccountant(model, placement=placement,
+                                    mnm_query_nj=query, mnm_update_nj=update,
+                                    mnm_level_query_nj=levels)
+
+        in_order, permuted, grouped = fresh(), fresh(), fresh()
+        for access in stream:
+            in_order.account(*access)
+        for access in data.draw(st.permutations(stream)):
+            permuted.account(*access)
+        groups = list(Counter(stream).items())
+        for (access_outcome, bits), count in data.draw(
+                st.permutations(groups)):
+            grouped.account_many(access_outcome, bits, count)
+
+        expected = dataclasses.astuple(in_order.totals)
+        assert dataclasses.astuple(permuted.totals) == expected
+        assert dataclasses.astuple(grouped.totals) == expected
+        assert expected[-1] == len(stream)
